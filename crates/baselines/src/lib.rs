@@ -20,6 +20,8 @@
 //!   on-the-fly CEP evaluation whose degradation on large logs Table 8
 //!   demonstrates.
 
+#![forbid(unsafe_code)]
+
 pub mod sase;
 pub mod subtree;
 pub mod suffix;

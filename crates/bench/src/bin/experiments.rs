@@ -8,6 +8,8 @@
 //!   --scale N  divide dataset sizes by N (default 10; 1 = paper scale)
 //! ```
 
+#![forbid(unsafe_code)]
+
 use seqdet_bench::{run_experiment, EXPERIMENTS};
 
 fn main() {

@@ -27,6 +27,8 @@
 //! paper ("each experiment is repeated 5 times and the average time is
 //! presented").
 
+#![forbid(unsafe_code)]
+
 pub mod datasets;
 pub mod exp_continuation;
 pub mod exp_datasets;

@@ -1,6 +1,6 @@
 //! Hand-rolled argument parsing (no external CLI crate is available).
 
-use seqdet_core::{Policy, PostingFormat, StnmMethod};
+use seqdet_core::{Policy, StnmMethod};
 use seqdet_storage::DurabilityPolicy;
 
 /// Usage text printed on parse errors and `--help`.
@@ -11,7 +11,7 @@ usage:
   seqdet index    --input FILE.{csv,xes} --store DIR [--policy sc|stnm]
                   [--method indexing|parsing|state] [--threads N]
                   [--partition-period P] [--durability always|batch|os]
-                  [--posting-format v1|v2] [--retain-segments]
+                  [--retain-segments]
   seqdet info     --store DIR
   seqdet detect   --store DIR --pattern A,B,C [--any-match]
   seqdet stats    --store DIR --pattern A,B,C [--all-pairs]
@@ -61,10 +61,6 @@ pub enum Command {
         partition_period: Option<u64>,
         /// Fsync policy of the store's write path.
         durability: DurabilityPolicy,
-        /// Posting-row format for fresh stores (`None` = default v2, or the
-        /// `SEQDET_POSTING_FORMAT` override). Existing stores keep their
-        /// recorded format; passing a conflicting flag is an error.
-        posting_format: Option<PostingFormat>,
         /// Keep compaction-superseded segments as a repair log, making
         /// `seqdet repair` lossless at the cost of disk space.
         retain_segments: bool,
@@ -240,7 +236,6 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
             let mut threads = 0usize;
             let mut partition_period = None;
             let mut durability = DurabilityPolicy::default();
-            let mut posting_format = None;
             let mut retain_segments = false;
             while cur.i + 1 < args.len() {
                 cur.i += 1;
@@ -269,13 +264,6 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
                             Some(parse_u64(&cur.value("--partition-period")?, "period")?)
                     }
                     "--durability" => durability = parse_durability(&cur.value("--durability")?)?,
-                    "--posting-format" => {
-                        let v = cur.value("--posting-format")?;
-                        posting_format =
-                            Some(PostingFormat::from_name(&v).ok_or_else(|| {
-                                format!("unknown posting format {v:?} (use v1|v2)")
-                            })?);
-                    }
                     other => return Err(format!("unknown flag {other} for index")),
                 }
             }
@@ -287,7 +275,6 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
                 threads,
                 partition_period,
                 durability,
-                posting_format,
                 retain_segments,
             })
         }
@@ -696,19 +683,6 @@ mod tests {
         assert!(parse(&argv("serve --store d --timeout-ms 0")).is_err());
         assert!(parse(&argv("serve --store d --max-requests-per-conn 0")).is_err());
         assert!(parse(&argv("serve --store d --workers nope")).is_err());
-    }
-
-    #[test]
-    fn parse_posting_format_flag() {
-        let c = parse(&argv("index --input a.csv --store d --posting-format v1")).unwrap();
-        assert!(matches!(c, Command::Index { posting_format: Some(PostingFormat::V1), .. }));
-        let c = parse(&argv("index --input a.csv --store d --posting-format v2")).unwrap();
-        assert!(matches!(c, Command::Index { posting_format: Some(PostingFormat::V2), .. }));
-        // Unset means "store default": sticky for existing stores, v2 (or
-        // the env override) for fresh ones.
-        let c = parse(&argv("index --input a.csv --store d")).unwrap();
-        assert!(matches!(c, Command::Index { posting_format: None, .. }));
-        assert!(parse(&argv("index --input a.csv --store d --posting-format v3")).is_err());
     }
 
     #[test]

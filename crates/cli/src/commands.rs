@@ -27,7 +27,6 @@ pub fn run(cmd: Command) -> Result<(), CliError> {
             threads,
             partition_period,
             durability,
-            posting_format,
             retain_segments,
         } => {
             let log = load_log(&input)?;
@@ -35,13 +34,9 @@ pub fn run(cmd: Command) -> Result<(), CliError> {
             if let Some(p) = partition_period {
                 cfg = cfg.with_partition_period(p);
             }
-            if let Some(f) = posting_format {
-                cfg = cfg.with_posting_format(f);
-            }
             let disk = Arc::new(open_store(&store, durability, None, retain_segments)?);
             let mut indexer = Indexer::with_store(disk.clone(), cfg)?;
-            // The config (and posting format) is persisted now — runs
-            // written by size-triggered compaction get real zone maps.
+            // Runs written by size-triggered compaction get real zone maps.
             seqdet_core::install_zone_extractor(&disk);
             let start = std::time::Instant::now();
             let stats = indexer.index_log(&log)?;
@@ -60,7 +55,6 @@ pub fn run(cmd: Command) -> Result<(), CliError> {
             let disk = Arc::new(DiskStore::open(&store)?);
             let engine = QueryEngine::new(disk.clone())?;
             println!("store: {store}");
-            println!("posting format: {}", seqdet_core::posting_format(disk.as_ref()).name());
             println!("activities: {}", engine.catalog().num_activities());
             println!("traces: {}", engine.catalog().num_traces());
             let stats = seqdet_core::IndexStats::collect(disk.as_ref())?;
@@ -402,4 +396,35 @@ fn save_log(log: &EventLog, path: &str) -> Result<(), CliError> {
         csv::write_csv(log, writer)?;
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use seqdet_core::catalog::put_meta;
+    use seqdet_core::{CoreError, Policy, StnmMethod};
+    use seqdet_query::QueryError;
+
+    #[test]
+    fn info_refuses_a_legacy_posting_format_store() {
+        let dir = std::env::temp_dir().join(format!("seqdet-cli-legacy-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        {
+            let disk = DiskStore::open(&dir).unwrap();
+            put_meta(&disk, "config:policy", Policy::SkipTillNextMatch.name()).unwrap();
+            put_meta(&disk, "config:method", StnmMethod::Indexing.name()).unwrap();
+            put_meta(&disk, "config:posting_format", "v1").unwrap();
+            disk.flush().unwrap();
+        }
+        let err = run(Command::Info { store: dir.to_string_lossy().into_owned() }).unwrap_err();
+        assert!(
+            matches!(
+                err.downcast_ref::<QueryError>(),
+                Some(QueryError::Core(CoreError::ConfigMismatch { .. }))
+            ),
+            "{err}"
+        );
+        assert!(err.to_string().contains("re-index from the source log"), "{err}");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
 }

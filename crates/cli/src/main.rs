@@ -18,6 +18,8 @@
 //! `index` subcommand can be re-run with new batches of the same log to
 //! exercise the paper's incremental update path.
 
+#![forbid(unsafe_code)]
+
 mod args;
 mod commands;
 

@@ -28,14 +28,11 @@
 //!    trace from above, and (in strict mode) equals their maximum, with an
 //!    entry present for every `(pair, trace)` that has postings and a live
 //!    `Seq` row.
-//! 5. **posting-blocks** — every `Index` row decodes under the store's
-//!    persisted posting format. For block-compressed v2 rows the skip
-//!    directory must be internally consistent (offsets strictly monotone
-//!    from 0, first-keys sorted, counts non-zero and summing to the chunk
-//!    header, first/max keys matching the decoded blocks) — a torn or
-//!    inconsistent directory is reported distinctly from a block-body
-//!    decode failure — and the decoded postings must survive a re-encode
-//!    through the fixed-width v1 codec and back (the differential oracle).
+//! 5. **posting-blocks** — every `Index` row decodes, and its block
+//!    directory is internally consistent (offsets strictly monotone from 0,
+//!    first-keys sorted, counts non-zero and summing to the chunk header,
+//!    first/max keys matching the decoded blocks) — a torn or inconsistent
+//!    directory is reported distinctly from a block-body decode failure.
 //! 6. **meta** — the index generation counter parses as an integer.
 //!
 //! ## Strict vs. bounded mode
@@ -50,11 +47,12 @@
 //! `summary.strict` in the report says which mode ran.
 
 use crate::catalog::get_meta;
-use crate::indexer::{active_index_tables, posting_format, META_GENERATION, META_MIN_PARTITION};
-use crate::postings::{validate_v2_row, PostingFormat, V2RowError};
+use crate::indexer::{
+    active_index_tables, check_posting_format, META_GENERATION, META_MIN_PARTITION,
+};
+use crate::postings::{validate_v2_row, V2RowError};
 use crate::tables::{
-    decode_counts, decode_events, decode_last_checked, decode_postings, encode_postings, COUNT,
-    LAST_CHECKED, RCOUNT, SEQ,
+    decode_counts, decode_events, decode_last_checked, COUNT, LAST_CHECKED, RCOUNT, SEQ,
 };
 use crate::{Catalog, PairKey, Result};
 use seqdet_log::{Activity, TraceId, Ts};
@@ -214,9 +212,11 @@ struct PairAgg {
 
 /// Audit every cross-table invariant of `store`. Rows that fail to
 /// *decode* are reported as violations of the check that needed them (the
-/// auditor's job is reporting damage, not dying on it); only failures to
-/// read the catalog itself abort the audit.
+/// auditor's job is reporting damage, not dying on it); only a store in
+/// the legacy v1 posting format or a failure to read the catalog itself
+/// aborts the audit.
 pub fn audit_store<S: KvStore>(store: &S) -> Result<AuditReport> {
+    check_posting_format(store)?;
     let catalog = Catalog::load(store)?;
     let mut report = AuditReport::default();
 
@@ -290,7 +290,6 @@ pub fn audit_store<S: KvStore>(store: &S) -> Result<AuditReport> {
     // Index: re-derive per-pair aggregates and per-(pair, trace) maxima.
     // ------------------------------------------------------------------
     let tables = active_index_tables(store);
-    let format = posting_format(store);
     report.summary.partitions = tables.len();
     let mut pair_agg: FxHashMap<PairKey, PairAgg> = FxHashMap::default();
     let mut pair_trace_max: FxHashMap<(PairKey, TraceId), Ts> = FxHashMap::default();
@@ -308,62 +307,26 @@ pub fn audit_store<S: KvStore>(store: &S) -> Result<AuditReport> {
             let pair = PairKey::from_le_bytes(key);
             let (a, b) = Activity::unpack_pair(pair);
             let pretty = || pair_name(&catalog, pair);
-            let postings = match format {
-                PostingFormat::V1 => match decode_postings(&row) {
-                    Ok(p) => p,
-                    Err(e) => {
-                        report.push(Violation {
-                            check: "posting-blocks",
-                            table: "Index",
-                            key: pretty(),
-                            detail: format!("row failed to decode: {e}"),
-                        });
-                        continue;
-                    }
-                },
-                // v2 rows get the full directory validation plus a
-                // differential round-trip through the v1 oracle codec.
-                PostingFormat::V2 => match validate_v2_row(&row) {
-                    Ok(p) => {
-                        let mut oracle_row = Vec::with_capacity(p.len() * 20);
-                        for posting in &p {
-                            oracle_row.extend_from_slice(&encode_postings(
-                                posting.trace,
-                                &[(posting.ts_a, posting.ts_b)],
-                            ));
-                        }
-                        if decode_postings(&oracle_row).ok().as_deref() != Some(&p[..]) {
-                            report.push(Violation {
-                                check: "posting-blocks",
-                                table: "Index",
-                                key: pretty(),
-                                detail: "v2 postings do not round-trip through the v1 \
-                                         oracle codec"
-                                    .into(),
-                            });
-                            continue;
-                        }
-                        p
-                    }
-                    Err(V2RowError::TornDirectory(m)) => {
-                        report.push(Violation {
-                            check: "posting-blocks",
-                            table: "Index",
-                            key: pretty(),
-                            detail: format!("torn block directory: {m}"),
-                        });
-                        continue;
-                    }
-                    Err(V2RowError::BadBlock(m)) => {
-                        report.push(Violation {
-                            check: "posting-blocks",
-                            table: "Index",
-                            key: pretty(),
-                            detail: format!("row failed to decode: {m}"),
-                        });
-                        continue;
-                    }
-                },
+            let postings = match validate_v2_row(&row) {
+                Ok(p) => p,
+                Err(V2RowError::TornDirectory(m)) => {
+                    report.push(Violation {
+                        check: "posting-blocks",
+                        table: "Index",
+                        key: pretty(),
+                        detail: format!("torn block directory: {m}"),
+                    });
+                    continue;
+                }
+                Err(V2RowError::BadBlock(m)) => {
+                    report.push(Violation {
+                        check: "posting-blocks",
+                        table: "Index",
+                        key: pretty(),
+                        detail: format!("row failed to decode: {m}"),
+                    });
+                    continue;
+                }
             };
             let agg = pair_agg.entry(pair).or_default();
             for p in &postings {
@@ -804,9 +767,9 @@ pub fn audit_disk(dir: &std::path::Path) -> Result<DiskAuditOutcome> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::postings::encode_postings_v2;
     use crate::tables::{
-        count_key, encode_counts, encode_last_checked, encode_postings, pair_key_bytes, CountEntry,
-        INDEX,
+        count_key, encode_counts, encode_last_checked, pair_key_bytes, CountEntry, INDEX,
     };
     use crate::{IndexConfig, Indexer, Policy};
     use seqdet_log::EventLogBuilder;
@@ -827,21 +790,6 @@ mod tests {
 
     fn pair(ix: &Indexer, a: &str, b: &str) -> PairKey {
         Activity::pair_key(ix.catalog().activity(a).unwrap(), ix.catalog().activity(b).unwrap())
-    }
-
-    /// Encode postings in whatever format `store` persists — corruption
-    /// injected by tests must match the store's own row layout.
-    fn encode_for(store: &MemStore, postings: &[crate::tables::Posting]) -> Vec<u8> {
-        match posting_format(store) {
-            PostingFormat::V1 => {
-                let mut row = Vec::new();
-                for p in postings {
-                    row.extend_from_slice(&encode_postings(p.trace, &[(p.ts_a, p.ts_b)]));
-                }
-                row
-            }
-            PostingFormat::V2 => crate::postings::encode_postings_v2(postings),
-        }
     }
 
     #[test]
@@ -926,7 +874,7 @@ mod tests {
         let key = pair(&ix, "A", "B");
         // Append a posting whose events t1 never contained.
         let foreign =
-            encode_for(&store, &[crate::tables::Posting { trace: TraceId(0), ts_a: 70, ts_b: 71 }]);
+            encode_postings_v2(&[crate::tables::Posting { trace: TraceId(0), ts_a: 70, ts_b: 71 }]);
         store.append(INDEX, &pair_key_bytes(key), &foreign).unwrap();
         let report = audit_store(store.as_ref()).unwrap();
         let seq_violations: Vec<_> =
@@ -975,38 +923,17 @@ mod tests {
     }
 
     #[test]
-    fn v1_store_reports_decode_failures() {
-        let mut b = EventLogBuilder::new();
-        b.add("t", "A", 1).add("t", "B", 2);
-        let cfg =
-            IndexConfig::new(Policy::SkipTillNextMatch).with_posting_format(PostingFormat::V1);
-        let mut ix = Indexer::new(cfg);
-        ix.index_log(&b.build()).unwrap();
-        let store = ix.store();
-        let key = pair(&ix, "A", "B");
-        store.put(INDEX, &pair_key_bytes(key), &[1, 2, 3]).unwrap(); // torn record
-        let report = audit_store(store.as_ref()).unwrap();
-        assert!(report
-            .violations
-            .iter()
-            .any(|v| v.check == "posting-blocks" && v.detail.contains("failed to decode")));
+    fn legacy_store_is_refused_not_audited() {
+        let (_, store) = indexed_store();
+        crate::catalog::put_meta(store.as_ref(), crate::indexer::META_POSTING_FORMAT, "v1")
+            .unwrap();
+        let err = audit_store(store.as_ref()).unwrap_err();
+        assert!(matches!(err, crate::CoreError::ConfigMismatch { .. }), "{err}");
     }
 
     #[test]
     fn torn_v2_directory_gets_a_distinct_finding() {
-        // Pin v2 explicitly: this test is about the v2 block directory, and
-        // the suite also runs under SEQDET_POSTING_FORMAT=v1 in CI.
-        let mut b = EventLogBuilder::new();
-        for (act, ts) in [("A", 1), ("A", 2), ("B", 3), ("A", 4), ("B", 5), ("A", 6)] {
-            b.add("t1", act, ts);
-        }
-        b.add("t2", "A", 1).add("t2", "B", 2).add("t2", "C", 3);
-        let cfg =
-            IndexConfig::new(Policy::SkipTillNextMatch).with_posting_format(PostingFormat::V2);
-        let mut ix = Indexer::new(cfg);
-        ix.index_log(&b.build()).unwrap();
-        let store = ix.store();
-        assert_eq!(posting_format(store.as_ref()), PostingFormat::V2);
+        let (ix, store) = indexed_store();
         let key = pair(&ix, "A", "B");
         let good = store.get(INDEX, &pair_key_bytes(key)).unwrap();
         // Truncate inside the chunk header/directory: a torn directory.
@@ -1031,27 +958,6 @@ mod tests {
                 && !v.detail.contains("torn block directory")),
             "{report:?}"
         );
-    }
-
-    #[test]
-    fn both_formats_audit_clean_end_to_end() {
-        for format in [PostingFormat::V1, PostingFormat::V2] {
-            let mut b = EventLogBuilder::new();
-            for (act, ts) in [("A", 1), ("A", 2), ("B", 3), ("A", 4), ("B", 5), ("A", 6)] {
-                b.add("t1", act, ts);
-            }
-            b.add("t2", "A", 1).add("t2", "B", 2);
-            let cfg = IndexConfig::new(Policy::SkipTillNextMatch).with_posting_format(format);
-            let mut ix = Indexer::new(cfg);
-            ix.index_log(&b.build()).unwrap();
-            // A second batch appends another chunk to existing rows.
-            let mut b2 = EventLogBuilder::new();
-            b2.add("t1", "B", 9).add("t2", "A", 7);
-            ix.index_log(&b2.build()).unwrap();
-            let report = audit_store(ix.store().as_ref()).unwrap();
-            assert!(report.ok(), "{format:?}: {:?}", report.violations);
-            assert!(report.summary.postings > 0);
-        }
     }
 
     #[test]

@@ -1,13 +1,11 @@
-//! Throughput-oriented decode kernel for v2 `Index` posting rows.
+//! The decode kernel for `Index` posting rows — the one decoder the query
+//! path, the zone extractor and the statistics scan run.
 //!
 //! [`crate::postings::decode_postings_v2`] walks each block with a
 //! byte-at-a-time [`Dec`](seqdet_storage::codec::Dec) cursor — one bounds
 //! check and one branch per varint *byte*. That scalar loop is the reference
-//! oracle (and stays that way), but on the cold query path it is the
-//! dominant cost: PR 5's compression made cold STNM detect ~37% slower.
-//!
-//! This module decodes the same byte layout in a single pass straight into
-//! the output vector, with wide primitives where they pay:
+//! oracle (and stays that way); this module decodes the same byte layout in
+//! a single pass straight into the output vector:
 //!
 //! * **Hybrid varint extraction** — a first-byte short-circuit handles the
 //!   1-byte varints that dominate real delta streams with one load and one
@@ -23,27 +21,15 @@
 //!   running sum applied in one loop iteration, writing the finished
 //!   [`Posting`] directly to `out`. No intermediate lane buffers, no
 //!   second pass over the block.
-//! * **Optional explicit SIMD** — on `x86_64`, the block body's varint
-//!   continuation bits are gathered 16 bytes at a time with an SSE2
-//!   `movemask` into a bitmap ([`DecodeScratch::cont`]); all three varint
-//!   lengths of a posting then come from a single 64-bit window of that
-//!   bitmap, with a bulk case decoding four all-1-byte postings from one
-//!   16-byte load (`std::arch`, runtime-detected). Measured on realistic
-//!   short-varint rows the portable path above wins, so [`DecodeKind::
-//!   Simd`] is selectable and benched but not the default — and whenever
-//!   `SEQDET_SCALAR_DECODE=1` is set, the scalar oracle itself runs
-//!   instead ([`active_decode_kind`]).
 //!
 //! ## Equivalence contract
 //!
-//! For every byte string, every [`DecodeKind`] accepts exactly the rows the
-//! scalar decoder accepts and produces bit-identical postings; rejected
-//! rows produce an error from the same [`V2RowError`] classes (the message
-//! text may differ only when a row is corrupt in more than one way, because
-//! the lane-split path surfaces a truncation before a trace-range error the
-//! scalar path would hit first). The property suite
-//! (`crates/core/tests/decode_fast_props.rs`) pins this contract against
-//! the oracle for arbitrary posting lists and hostile byte mutations.
+//! For every byte string, the kernel accepts exactly the rows the scalar
+//! decoder accepts and produces bit-identical postings; rejected rows
+//! produce an error from the same [`V2RowError`] classes. The property
+//! suite (`crates/core/tests/decode_fast_props.rs`) pins this contract
+//! against the oracle for arbitrary posting lists and hostile byte
+//! mutations.
 
 use crate::error::CoreError;
 use crate::postings::{bad, block_end, parse_chunk, torn, DirEntry, V2RowError};
@@ -51,147 +37,27 @@ use crate::tables::Posting;
 use crate::Result;
 use seqdet_log::TraceId;
 use seqdet_storage::codec::zigzag_decode;
-use std::sync::OnceLock;
-
-/// Environment variable forcing the scalar reference decoder everywhere
-/// (`SEQDET_SCALAR_DECODE=1`). The CI matrix runs one leg with it set so
-/// the fallback path stays green; it is also the escape hatch if a SIMD
-/// decode bug ever ships.
-pub const SCALAR_DECODE_ENV: &str = "SEQDET_SCALAR_DECODE";
 
 /// Continuation bit of every byte of an 8-byte varint window.
 const CONT_BITS: u64 = 0x8080_8080_8080_8080;
 
-/// Which decode implementation to run. All kinds are bit-identical on
-/// accepted rows; they differ only in speed and portability.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DecodeKind {
-    /// The reference byte-at-a-time decoder
-    /// ([`crate::postings::decode_postings_v2`]) — the proptest oracle.
-    Scalar,
-    /// Portable single-pass decode: first-byte short-circuit for 1-byte
-    /// varints, branchless 8-byte-window extraction for longer ones.
-    Branchless,
-    /// SSE2 `movemask` continuation-bit scanning: all three varint lengths
-    /// of a posting from one bitmap window, payloads by direct 8-byte
-    /// loads (x86_64 only, runtime-detected).
-    Simd,
-}
-
-impl DecodeKind {
-    /// Stable name, as printed by benches and stats.
-    pub fn name(self) -> &'static str {
-        match self {
-            DecodeKind::Scalar => "scalar",
-            DecodeKind::Branchless => "branchless",
-            DecodeKind::Simd => "simd",
-        }
-    }
-
-    /// Every kind runnable on this machine (always includes `Scalar` and
-    /// `Branchless`; `Simd` when the CPU supports it).
-    pub fn available() -> Vec<DecodeKind> {
-        let mut kinds = vec![DecodeKind::Scalar, DecodeKind::Branchless];
-        if simd_supported() {
-            kinds.push(DecodeKind::Simd);
-        }
-        kinds
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-fn simd_supported() -> bool {
-    std::arch::is_x86_feature_detected!("sse2")
-}
-
-#[cfg(not(target_arch = "x86_64"))]
-fn simd_supported() -> bool {
-    false
-}
-
-/// The decode kind the process uses, resolved once: the scalar oracle when
-/// [`SCALAR_DECODE_ENV`] is set to anything but `0`/empty, else the
-/// portable branchless path. The SSE2 kind stays runtime-detected and
-/// selectable (benches, ablations, [`v2_decode_with_kind`]) but is not the
-/// default: on the short-varint delta streams real pair rows produce, the
-/// measured winner is the short-circuiting reader — two predictable
-/// branches per varint beat a continuation-bitmap prepass plus a bitmap
-/// fetch per posting (see `decode_throughput` in the `posting_v2` bench).
-pub fn active_decode_kind() -> DecodeKind {
-    static ACTIVE: OnceLock<DecodeKind> = OnceLock::new();
-    *ACTIVE.get_or_init(|| {
-        if std::env::var_os(SCALAR_DECODE_ENV).is_some_and(|v| !v.is_empty() && v != "0") {
-            return DecodeKind::Scalar;
-        }
-        DecodeKind::Branchless
+/// Decode a whole `Index` row into `out` (appending). Identical, posting
+/// for posting and accept-for-reject, to
+/// [`crate::postings::decode_postings_v2`]; a rejected row leaves `out` as
+/// it was.
+pub fn decode_postings_v2_into(row: &[u8], out: &mut Vec<Posting>) -> Result<()> {
+    let truncate_to = out.len();
+    decode_row_fast(row, out).map_err(|e| {
+        // A failed decode must not leave partial postings behind.
+        out.truncate(truncate_to);
+        CoreError::from(e)
     })
 }
 
-/// Reusable per-worker buffers for block decoding. Holding one of these
-/// across decode calls means a warm worker allocates nothing per row: the
-/// SIMD continuation bitmap grows to the largest block seen and stays
-/// there (the portable kinds need no scratch at all, but share the type so
-/// callers are kind-agnostic).
-#[derive(Debug, Default)]
-pub struct DecodeScratch {
-    /// Continuation-bit bitmap of the block body (1 bit per body byte),
-    /// built by the SIMD path.
-    cont: Vec<u64>,
-}
-
-impl DecodeScratch {
-    /// Fresh empty scratch.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-/// Decode a whole v2 `Index` row into `out` (appending), using the
-/// process-wide [`active_decode_kind`]. Identical, posting for posting and
-/// accept-for-reject, to [`crate::postings::decode_postings_v2`]; the
-/// scratch makes repeated calls allocation-free once warm.
-pub fn decode_postings_v2_into(
-    row: &[u8],
-    scratch: &mut DecodeScratch,
-    out: &mut Vec<Posting>,
-) -> Result<()> {
-    v2_decode_with_kind(active_decode_kind(), row, scratch, out)
-}
-
-/// [`decode_postings_v2_into`] with an explicit [`DecodeKind`] — the entry
-/// point the differential tests and benches use, so they are deterministic
-/// regardless of the environment or CPU the suite runs on.
-pub fn v2_decode_with_kind(
-    kind: DecodeKind,
-    row: &[u8],
-    scratch: &mut DecodeScratch,
-    out: &mut Vec<Posting>,
-) -> Result<()> {
-    match kind {
-        DecodeKind::Scalar => {
-            out.extend(crate::postings::decode_postings_v2(row)?);
-            Ok(())
-        }
-        DecodeKind::Branchless | DecodeKind::Simd => {
-            let truncate_to = out.len();
-            decode_row_fast(kind, row, scratch, out).map_err(|e| {
-                // A failed decode must not leave partial postings behind.
-                out.truncate(truncate_to);
-                CoreError::from(e)
-            })
-        }
-    }
-}
-
-/// Fast-path whole-row decode: shared chunk/directory validation, then the
-/// kind-specific block unpacker, then the same directory cross-checks the
-/// scalar decoder performs.
-fn decode_row_fast(
-    kind: DecodeKind,
-    row: &[u8],
-    scratch: &mut DecodeScratch,
-    out: &mut Vec<Posting>,
-) -> std::result::Result<(), V2RowError> {
+/// Whole-row decode: the chunk/directory validation shared with the scalar
+/// decoder, then the single-pass block unpacker, then the same directory
+/// cross-checks the scalar decoder performs.
+fn decode_row_fast(row: &[u8], out: &mut Vec<Posting>) -> std::result::Result<(), V2RowError> {
     let mut pos = 0usize;
     while pos < row.len() {
         let chunk = parse_chunk(row, pos)?;
@@ -199,7 +65,7 @@ fn decode_row_fast(
         let body = &row[chunk.body_start..chunk.body_end];
         for (i, &entry) in chunk.directory.iter().enumerate() {
             let end = block_end(&chunk, i);
-            decode_block_fast(kind, body, entry, end, scratch, out)?;
+            decode_block_fast(body, entry, end, out)?;
             let block = &out[out.len() - entry.count..];
             if let Some(first) = block.first() {
                 if first.trace.0 != entry.first_trace {
@@ -227,22 +93,16 @@ fn decode_row_fast(
 /// apply the checked trace chain and the wrapping `ts_a` running sum, and
 /// push the finished posting straight to `out`.
 fn decode_block_fast(
-    kind: DecodeKind,
     body: &[u8],
     entry: DirEntry,
     end: usize,
-    scratch: &mut DecodeScratch,
     out: &mut Vec<Posting>,
 ) -> std::result::Result<(), V2RowError> {
     if entry.offset > end || end > body.len() {
         return torn("block span exceeds the chunk body");
     }
     let bytes = &body[entry.offset..end];
-    let consumed = match kind {
-        DecodeKind::Simd => decode_block_postings_simd(bytes, entry.count, scratch, out)?,
-        _ => decode_block_postings(bytes, entry.count, out)?,
-    };
-    if consumed != bytes.len() {
+    if decode_block_postings(bytes, entry.count, out)? != bytes.len() {
         return bad("block does not end at the next directory offset");
     }
     Ok(())
@@ -271,27 +131,8 @@ fn emit_posting(
     Ok(())
 }
 
-/// Emit the four all-1-byte postings packed in the low 12 bytes of `w`.
-/// Caller has verified none of those bytes has its continuation bit set.
-#[inline]
-fn emit_four_short(
-    w: u128,
-    i: usize,
-    prev_trace: &mut u32,
-    ts_acc: &mut u64,
-    out: &mut Vec<Posting>,
-) -> std::result::Result<(), V2RowError> {
-    for k in 0..4 {
-        let t = (w >> (24 * k)) as u64 & 0x7F;
-        let a = (w >> (24 * k + 8)) as u64 & 0x7F;
-        let b = (w >> (24 * k + 16)) as u64 & 0x7F;
-        emit_posting(i + k, (t, a, b), prev_trace, ts_acc, out)?;
-    }
-    Ok(())
-}
-
-/// Portable single-pass block decode via the short-circuiting hybrid
-/// varint reader. Returns the bytes consumed.
+/// Single-pass block decode via the short-circuiting hybrid varint
+/// reader. Returns the bytes consumed.
 fn decode_block_postings(
     bytes: &[u8],
     count: usize,
@@ -301,7 +142,7 @@ fn decode_block_postings(
     let mut prev_trace = 0u32;
     let mut ts_acc = 0u64;
     for i in 0..count {
-        let Some((triple, next)) = read_triple(bytes, at, read_varint) else {
+        let Some((triple, next)) = read_triple(bytes, at) else {
             return bad(format!("posting {i} of a block is truncated"));
         };
         emit_posting(i, triple, &mut prev_trace, &mut ts_acc, out)?;
@@ -311,7 +152,7 @@ fn decode_block_postings(
 }
 
 // ---------------------------------------------------------------------------
-// Branchless varint extraction
+// Varint extraction
 // ---------------------------------------------------------------------------
 
 /// Compact the low 7 bits of each byte of `w` (little-endian groups) into
@@ -363,9 +204,8 @@ fn read_varint(bytes: &[u8], at: usize) -> Option<(u64, usize)> {
 /// ≥ 3-byte varints: the branchless 8-byte window when possible,
 /// [`read_varint_slow`] otherwise.
 fn read_varint_multi(bytes: &[u8], at: usize) -> Option<(u64, usize)> {
-    if at + 8 <= bytes.len() {
-        let window: [u8; 8] = bytes[at..at + 8].try_into().ok()?;
-        let word = u64::from_le_bytes(window);
+    if let Some(window) = bytes.get(at..at + 8) {
+        let word = u64::from_le_bytes(window.try_into().ok()?);
         let stops = !word & CONT_BITS;
         if stops != 0 {
             let len = (stops.trailing_zeros() as usize >> 3) + 1;
@@ -377,166 +217,14 @@ fn read_varint_multi(bytes: &[u8], at: usize) -> Option<(u64, usize)> {
     read_varint_slow(bytes, at)
 }
 
-/// Read the three varints of one posting starting at `at`, via `read`.
-/// Returns the raw (pre-zigzag) values and the offset after them.
+/// Read the three varints of one posting starting at `at`. Returns the
+/// raw (pre-zigzag) values and the offset after them.
 #[inline(always)]
-fn read_triple(
-    bytes: &[u8],
-    at: usize,
-    read: impl Fn(&[u8], usize) -> Option<(u64, usize)>,
-) -> Option<((u64, u64, u64), usize)> {
-    let (t, nt) = read(bytes, at)?;
-    let (a, na) = read(bytes, at + nt)?;
-    let (b, nb) = read(bytes, at + nt + na)?;
+fn read_triple(bytes: &[u8], at: usize) -> Option<((u64, u64, u64), usize)> {
+    let (t, nt) = read_varint(bytes, at)?;
+    let (a, na) = read_varint(bytes, at + nt)?;
+    let (b, nb) = read_varint(bytes, at + nt + na)?;
     Some(((t, a, b), at + nt + na + nb))
-}
-
-// ---------------------------------------------------------------------------
-// SSE2 varint-boundary scanning (x86_64 only)
-// ---------------------------------------------------------------------------
-
-#[cfg(target_arch = "x86_64")]
-mod x86 {
-    //! The one `std::arch` touchpoint: gathering varint continuation bits
-    //! 16 bytes at a time with `movemask`, which is exactly the per-byte
-    //! high bit the varint format uses as its continuation flag.
-
-    use std::arch::x86_64::{__m128i, _mm_loadu_si128, _mm_movemask_epi8};
-
-    /// Continuation-bit mask of a 16-byte window: bit `i` is set iff
-    /// `window[i]` has its high bit set. Requires SSE2, which
-    /// [`super::active_decode_kind`] verifies at runtime before selecting
-    /// the SIMD kind (and which the `x86_64` baseline guarantees anyway).
-    #[target_feature(enable = "sse2")]
-    pub(super) fn cont_mask16(window: &[u8; 16]) -> u32 {
-        // SAFETY: `window` borrows exactly 16 readable bytes and
-        // `_mm_loadu_si128` performs an unaligned 128-bit load, so the read
-        // stays inside the borrow with no alignment requirement.
-        let v = unsafe { _mm_loadu_si128(window.as_ptr() as *const __m128i) };
-        (_mm_movemask_epi8(v) as u32) & 0xFFFF
-    }
-}
-
-/// Build the continuation bitmap of `bytes` (bit per byte) into
-/// `scratch.cont`, 16 bytes per SSE2 `movemask` on x86_64 with a scalar
-/// tail; fully scalar elsewhere.
-fn build_cont_mask(bytes: &[u8], cont: &mut Vec<u64>) {
-    cont.clear();
-    cont.resize(bytes.len().div_ceil(64), 0);
-    let mut i = 0usize;
-    #[cfg(target_arch = "x86_64")]
-    if simd_supported() {
-        while i + 16 <= bytes.len() {
-            let Ok(window) = <&[u8; 16]>::try_from(&bytes[i..i + 16]) else {
-                break;
-            };
-            // SAFETY: `simd_supported()` verified SSE2 at runtime just
-            // above, which is the only precondition `#[target_feature
-            // (enable = "sse2")]` places on calling `cont_mask16`.
-            let mask = unsafe { x86::cont_mask16(window) } as u64;
-            // `i` steps by 16, so the 16-bit mask never straddles a word.
-            cont[i / 64] |= mask << (i % 64);
-            i += 16;
-        }
-    }
-    for (j, &b) in bytes.iter().enumerate().skip(i) {
-        if b & 0x80 != 0 {
-            cont[j / 64] |= 1u64 << (j % 64);
-        }
-    }
-}
-
-/// The 64 continuation bits starting at bit `at` of the bitmap (bits past
-/// the end read as 0, i.e. as stop bytes).
-#[inline]
-fn cont_window(cont: &[u64], at: usize) -> u64 {
-    let word = at / 64;
-    let bit = at % 64;
-    let mut bits = cont.get(word).copied().unwrap_or(0) >> bit;
-    if bit != 0 {
-        bits |= cont.get(word + 1).copied().unwrap_or(0) << (64 - bit);
-    }
-    bits
-}
-
-/// Extract a varint of known length `len` (1..=8) at `at` with one direct
-/// 8-byte load. Caller guarantees `at + 8 <= bytes.len()`.
-#[inline]
-fn extract_varint(bytes: &[u8], at: usize, len: usize) -> u64 {
-    let mut w = [0u8; 8];
-    w.copy_from_slice(&bytes[at..at + 8]);
-    let word = u64::from_le_bytes(w);
-    compact7(word & (u64::MAX >> (64 - 8 * len)))
-}
-
-/// Extract a varint of known length at `at`. Lengths 1 and 2 — the bulk
-/// of real delta streams — are trivial arithmetic; longer ones take the
-/// shift-mask window. Caller guarantees `at + 8 <= bytes.len()` and
-/// `1 <= len <= 8`.
-#[inline(always)]
-fn extract_known_len(bytes: &[u8], at: usize, len: usize) -> u64 {
-    match len {
-        1 => bytes[at] as u64,
-        2 => (bytes[at] as u64 & 0x7F) | ((bytes[at + 1] as u64) << 7),
-        _ => extract_varint(bytes, at, len),
-    }
-}
-
-/// SIMD single-pass block decode: build the continuation bitmap with SSE2
-/// `movemask` (scalar tail elsewhere), then decode triples against it.
-/// One 64-bit bitmap window per posting yields either the four-postings-
-/// of-1-byte-varints bulk case (one 16-byte load) or all three varint
-/// lengths at once for length-specialized extraction. Triples near the
-/// block tail — or containing a varint longer than 8 bytes — go through
-/// the generic reader, which handles bounds and the 10-byte canonicality
-/// rule. Returns the bytes consumed.
-fn decode_block_postings_simd(
-    bytes: &[u8],
-    count: usize,
-    scratch: &mut DecodeScratch,
-    out: &mut Vec<Posting>,
-) -> std::result::Result<usize, V2RowError> {
-    build_cont_mask(bytes, &mut scratch.cont);
-    let cont = &scratch.cont;
-    let mut at = 0usize;
-    let mut i = 0usize;
-    let mut prev_trace = 0u32;
-    let mut ts_acc = 0u64;
-    while i < count {
-        // l1, l2 ≤ 8 bound the third extraction's load to at + 16 + 8.
-        if at + 24 <= bytes.len() {
-            let bits = cont_window(cont, at);
-            // 12 clear bitmap bits = four whole postings of 1-byte
-            // varints: decode all four from one 16-byte load.
-            if i + 4 <= count && bits & 0xFFF == 0 {
-                let mut wb = [0u8; 16];
-                wb.copy_from_slice(&bytes[at..at + 16]);
-                emit_four_short(u128::from_le_bytes(wb), i, &mut prev_trace, &mut ts_acc, out)?;
-                at += 12;
-                i += 4;
-                continue;
-            }
-            let l1 = bits.trailing_ones() as usize + 1;
-            let l2 = (bits >> l1.min(63)).trailing_ones() as usize + 1;
-            let l3 = (bits >> (l1 + l2).min(63)).trailing_ones() as usize + 1;
-            if l1 <= 8 && l2 <= 8 && l3 <= 8 {
-                let t = extract_known_len(bytes, at, l1);
-                let a = extract_known_len(bytes, at + l1, l2);
-                let b = extract_known_len(bytes, at + l1 + l2, l3);
-                emit_posting(i, (t, a, b), &mut prev_trace, &mut ts_acc, out)?;
-                at += l1 + l2 + l3;
-                i += 1;
-                continue;
-            }
-        }
-        let Some((triple, next)) = read_triple(bytes, at, read_varint) else {
-            return bad(format!("posting {i} of a block is truncated"));
-        };
-        emit_posting(i, triple, &mut prev_trace, &mut ts_acc, out)?;
-        at = next;
-        i += 1;
-    }
-    Ok(at)
 }
 
 #[cfg(test)]
@@ -548,15 +236,8 @@ mod tests {
         Posting { trace: TraceId(trace), ts_a, ts_b }
     }
 
-    fn decode_all(kind: DecodeKind, row: &[u8]) -> Result<Vec<Posting>> {
-        let mut scratch = DecodeScratch::new();
-        let mut out = Vec::new();
-        v2_decode_with_kind(kind, row, &mut scratch, &mut out)?;
-        Ok(out)
-    }
-
     #[test]
-    fn all_kinds_match_the_scalar_oracle() {
+    fn kernel_matches_the_scalar_oracle() {
         let lists: Vec<Vec<Posting>> = vec![
             vec![],
             vec![p(0, 0, 0)],
@@ -569,11 +250,9 @@ mod tests {
         ];
         for list in lists {
             let row = encode_postings_v2(&list);
-            let oracle = decode_postings_v2(&row).unwrap();
-            for kind in DecodeKind::available() {
-                let got = decode_all(kind, &row).unwrap();
-                assert_eq!(got, oracle, "{} on {} postings", kind.name(), list.len());
-            }
+            let mut got = Vec::new();
+            decode_postings_v2_into(&row, &mut got).unwrap();
+            assert_eq!(got, decode_postings_v2(&row).unwrap(), "{} postings", list.len());
         }
     }
 
@@ -583,32 +262,21 @@ mod tests {
         let b: Vec<Posting> = (10..150).map(|i| p(i, 3, 4)).collect();
         let mut row = encode_postings_v2(&a);
         row.extend_from_slice(&encode_postings_v2(&b));
-        for kind in DecodeKind::available() {
-            let mut scratch = DecodeScratch::new();
-            let mut out = vec![p(999, 0, 0)]; // pre-existing content survives
-            v2_decode_with_kind(kind, &row, &mut scratch, &mut out).unwrap();
-            assert_eq!(out[0], p(999, 0, 0));
-            assert_eq!(&out[1..], decode_postings_v2(&row).unwrap(), "{}", kind.name());
-        }
+        let mut out = vec![p(999, 0, 0)]; // pre-existing content survives
+        decode_postings_v2_into(&row, &mut out).unwrap();
+        assert_eq!(out[0], p(999, 0, 0));
+        assert_eq!(&out[1..], decode_postings_v2(&row).unwrap());
     }
 
     #[test]
-    fn corrupt_rows_fail_on_every_kind_and_leave_out_untouched() {
+    fn corrupt_rows_fail_and_leave_out_untouched() {
         let list: Vec<Posting> = (0..200).map(|i| p(i, 5, 9)).collect();
-        let good = encode_postings_v2(&list);
-        let mut corrupt = good.clone();
+        let mut corrupt = encode_postings_v2(&list);
         let last = corrupt.len() - 1;
         corrupt[last] ^= 0x80; // final varint becomes a dangling continuation
-        for kind in DecodeKind::available() {
-            let mut scratch = DecodeScratch::new();
-            let mut out = vec![p(1, 2, 3)];
-            assert!(
-                v2_decode_with_kind(kind, &corrupt, &mut scratch, &mut out).is_err(),
-                "{}",
-                kind.name()
-            );
-            assert_eq!(out, vec![p(1, 2, 3)], "{} left partial postings", kind.name());
-        }
+        let mut out = vec![p(1, 2, 3)];
+        assert!(decode_postings_v2_into(&corrupt, &mut out).is_err());
+        assert_eq!(out, vec![p(1, 2, 3)], "partial postings left behind");
     }
 
     #[test]
@@ -634,21 +302,5 @@ mod tests {
         assert!(read_varint(&buf, 0).is_none());
         buf[9] = 0x01;
         assert_eq!(read_varint(&buf, 0), Some((u64::MAX, 10)));
-    }
-
-    #[test]
-    fn cont_mask_marks_exactly_the_continuation_bytes() {
-        let bytes: Vec<u8> = (0..100u32).map(|i| if i % 3 == 0 { 0x80 } else { 0x01 }).collect();
-        let mut cont = Vec::new();
-        build_cont_mask(&bytes, &mut cont);
-        for (i, &b) in bytes.iter().enumerate() {
-            let bit = cont[i / 64] >> (i % 64) & 1;
-            assert_eq!(bit == 1, b & 0x80 != 0, "byte {i}");
-        }
-    }
-
-    #[test]
-    fn active_kind_is_available() {
-        assert!(DecodeKind::available().contains(&active_decode_kind()));
     }
 }

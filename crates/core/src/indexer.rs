@@ -27,7 +27,7 @@
 use crate::catalog::{get_meta, put_meta, Catalog};
 use crate::pairs::{create_pairs, PairKey, TracePairs};
 use crate::policy::{Policy, StnmMethod};
-use crate::postings::{encode_postings_v2, PostingFormat};
+use crate::postings::{encode_postings_v2, v1_unreadable, PostingFormat};
 use crate::tables::{
     self, append_attrs, append_seq, index_partition, merge_counts, merge_last_checked,
     read_last_checked, read_seq, Posting, ATTRS, COUNT, INDEX, LAST_CHECKED, MAX_PARTITIONS,
@@ -47,19 +47,6 @@ pub(crate) const META_MIN_PARTITION: &str = "config:min_partition";
 pub(crate) const META_GENERATION: &str = "config:index_generation";
 pub(crate) const META_POSTING_FORMAT: &str = "config:posting_format";
 
-/// Environment override for the posting format of *freshly created*
-/// indexes (`v1` or `v2`); anything else falls back to the built-in
-/// default. Existing stores always keep their persisted format. CI uses
-/// this to run the whole integration suite against the legacy layout.
-pub const POSTING_FORMAT_ENV: &str = "SEQDET_POSTING_FORMAT";
-
-fn default_posting_format() -> PostingFormat {
-    std::env::var(POSTING_FORMAT_ENV)
-        .ok()
-        .and_then(|s| PostingFormat::from_name(&s))
-        .unwrap_or_default()
-}
-
 /// Indexer configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IndexConfig {
@@ -72,24 +59,13 @@ pub struct IndexConfig {
     /// Optional §3.1.3 period partitioning: width (in timestamp units) of
     /// each `Index` partition. `None` keeps a single `Index` table.
     pub partition_period: Option<Ts>,
-    /// `Index` row encoding for freshly created stores. `None` defers to
-    /// the store's persisted format (reopen) or to the default
-    /// ([`PostingFormat::V2`], overridable via [`POSTING_FORMAT_ENV`]) for
-    /// fresh stores. `Some(_)` on reopen must match the persisted format.
-    pub posting_format: Option<PostingFormat>,
 }
 
 impl IndexConfig {
     /// Default configuration for `policy`: *Indexing* flavor, all cores,
     /// single `Index` table.
     pub fn new(policy: Policy) -> Self {
-        Self {
-            policy,
-            method: StnmMethod::Indexing,
-            threads: 0,
-            partition_period: None,
-            posting_format: None,
-        }
+        Self { policy, method: StnmMethod::Indexing, threads: 0, partition_period: None }
     }
 
     /// Select the STNM pair-creation flavor.
@@ -108,12 +84,6 @@ impl IndexConfig {
     pub fn with_partition_period(mut self, period: Ts) -> Self {
         assert!(period > 0, "partition period must be positive");
         self.partition_period = Some(period);
-        self
-    }
-
-    /// Pin the `Index` posting-row encoding (see [`PostingFormat`]).
-    pub fn with_posting_format(mut self, format: PostingFormat) -> Self {
-        self.posting_format = Some(format);
         self
     }
 }
@@ -154,8 +124,6 @@ pub struct Indexer<S: KvStore = MemStore> {
     catalog: Catalog,
     executor: Executor,
     num_partitions: u32,
-    /// The resolved (persisted) posting-row encoding — sticky per store.
-    format: PostingFormat,
 }
 
 impl Indexer<MemStore> {
@@ -169,31 +137,28 @@ impl Indexer<MemStore> {
 impl<S: KvStore> Indexer<S> {
     /// Indexer over an existing store. If the store already holds an index,
     /// its persisted configuration must match `config` (you cannot reopen an
-    /// SC index as STNM — the stored pairs would be wrong).
+    /// SC index as STNM — the stored pairs would be wrong). A store written
+    /// in the legacy v1 posting format is refused ([`check_posting_format`]).
     pub fn with_store(store: Arc<S>, config: IndexConfig) -> Result<Self> {
-        let format = if let Some(stored) = read_config(&store) {
+        check_posting_format(store.as_ref())?;
+        if let Some(stored) = read_config(&store) {
             if stored.policy != config.policy
                 || (config.policy == Policy::SkipTillNextMatch && stored.method != config.method)
                 || stored.partition_period != config.partition_period
-                || config.posting_format.is_some_and(|f| stored.posting_format != Some(f))
             {
                 return Err(CoreError::ConfigMismatch {
                     stored: format!("{stored:?}"),
                     requested: format!("{config:?}"),
                 });
             }
-            // Stores written before the format key existed read as v1.
-            stored.posting_format.unwrap_or(PostingFormat::V1)
         } else {
-            let format = config.posting_format.unwrap_or_else(default_posting_format);
-            write_config(&store, &config, format)?;
-            format
-        };
+            write_config(&store, &config)?;
+        }
         let catalog = Catalog::load(&store)?;
         let num_partitions =
             get_meta(&store, META_NUM_PARTITIONS).and_then(|s| s.parse().ok()).unwrap_or(0);
         let executor = Executor::new(config.threads);
-        Ok(Self { store, config, catalog, executor, num_partitions, format })
+        Ok(Self { store, config, catalog, executor, num_partitions })
     }
 
     /// Reopen an indexer using the configuration persisted in the store.
@@ -222,11 +187,6 @@ impl<S: KvStore> Indexer<S> {
     /// The active configuration.
     pub fn config(&self) -> &IndexConfig {
         &self.config
-    }
-
-    /// The resolved posting-row encoding this indexer writes.
-    pub fn posting_format(&self) -> PostingFormat {
-        self.format
     }
 
     /// Index one batch of new events. The whole `log` is treated as the
@@ -398,30 +358,16 @@ impl<S: KvStore> Indexer<S> {
 
         // 5b. Index postings, grouped by pair key → one append per
         //     (pair, partition). Parallel across pair keys: each key is
-        //     written by exactly one worker. v2 appends sort the batch's
+        //     written by exactly one worker. Appends sort the batch's
         //     postings by trace first: per-trace timestamp order is kept
         //     (stable sort) and every appended chunk gets sorted directory
-        //     first-keys, which `seek` and the auditor rely on.
+        //     first-keys, which the auditor relies on.
         let period = self.config.partition_period;
-        let format = self.format;
-        let encode = move |occs: &[(TraceId, Ts, Ts)]| -> Vec<u8> {
-            match format {
-                PostingFormat::V1 => {
-                    let mut enc = Vec::with_capacity(occs.len() * 20);
-                    for &(t, a, b) in occs {
-                        enc.extend_from_slice(&tables::encode_postings(t, &[(a, b)]));
-                    }
-                    enc
-                }
-                PostingFormat::V2 => {
-                    let mut ps: Vec<Posting> = occs
-                        .iter()
-                        .map(|&(t, a, b)| Posting { trace: t, ts_a: a, ts_b: b })
-                        .collect();
-                    ps.sort_by_key(|p| p.trace);
-                    encode_postings_v2(&ps)
-                }
-            }
+        let encode = |occs: &[(TraceId, Ts, Ts)]| -> Vec<u8> {
+            let mut ps: Vec<Posting> =
+                occs.iter().map(|&(t, a, b)| Posting { trace: t, ts_a: a, ts_b: b }).collect();
+            ps.sort_by_key(|p| p.trace);
+            encode_postings_v2(&ps)
         };
         let max_parts = self.executor.map(groups, |(key, occs)| -> Result<u32> {
             let mut max_part = 0u32;
@@ -598,31 +544,46 @@ fn read_config<S: KvStore>(store: &S) -> Option<IndexConfig> {
         Some(s) => Some(s.parse().ok()?),
         None => None,
     };
-    // Stores that predate the posting-format key are v1 by construction.
-    let posting_format = Some(
-        get_meta(store, META_POSTING_FORMAT)
-            .and_then(|s| PostingFormat::from_name(&s))
-            .unwrap_or(PostingFormat::V1),
-    );
-    Some(IndexConfig { policy, method, threads: 0, partition_period, posting_format })
+    Some(IndexConfig { policy, method, threads: 0, partition_period })
 }
 
-fn write_config<S: KvStore>(store: &S, config: &IndexConfig, format: PostingFormat) -> Result<()> {
+fn write_config<S: KvStore>(store: &S, config: &IndexConfig) -> Result<()> {
+    // Format tag first: these puts are not one batch, and a crash between
+    // them must never leave a policy without a format tag — that is what a
+    // store from before the tag existed looks like, and it is refused.
+    put_meta(store, META_POSTING_FORMAT, PostingFormat::V2.name())?;
     put_meta(store, META_POLICY, config.policy.name())?;
     put_meta(store, META_METHOD, config.method.name())?;
     if let Some(p) = config.partition_period {
         put_meta(store, META_PERIOD, &p.to_string())?;
     }
-    put_meta(store, META_POSTING_FORMAT, format.name())?;
     Ok(())
 }
 
-/// The persisted `Index` posting-row encoding of a store. Stores written
-/// before the format existed (or never indexed) read as [`PostingFormat::V1`].
+/// The posting-row layout tag persisted in a store's `Meta`. A store that
+/// holds an index configuration but no format key was written before the
+/// key existed and is v1 by construction (as is an unrecognised tag: it is
+/// not a layout this build can read); a never-indexed store is v2, the
+/// layout its first batch will be written in.
 pub fn posting_format<S: KvStore>(store: &S) -> PostingFormat {
-    get_meta(store, META_POSTING_FORMAT)
-        .and_then(|s| PostingFormat::from_name(&s))
-        .unwrap_or(PostingFormat::V1)
+    match get_meta(store, META_POSTING_FORMAT) {
+        Some(tag) => PostingFormat::from_name(&tag).unwrap_or(PostingFormat::V1),
+        None if get_meta(store, META_POLICY).is_some() => PostingFormat::V1,
+        None => PostingFormat::V2,
+    }
+}
+
+/// Refuse a store whose `Index` rows are in the legacy v1 layout, with a
+/// [`CoreError::ConfigMismatch`] that names the remedy (re-index from the
+/// source log). Every open path — [`Indexer::with_store`],
+/// [`Indexer::open`], the query engine — calls this first, so a legacy
+/// store fails once, up front, rather than as a corrupt-row error
+/// mid-query.
+pub fn check_posting_format<S: KvStore>(store: &S) -> Result<()> {
+    match posting_format(store) {
+        PostingFormat::V1 => Err(v1_unreadable()),
+        PostingFormat::V2 => Ok(()),
+    }
 }
 
 /// The pattern-matching policy the store's pairs were created under.
@@ -824,6 +785,38 @@ mod tests {
     fn open_empty_store_fails() {
         let store = Arc::new(MemStore::new());
         assert!(Indexer::<MemStore>::open(store).is_err());
+    }
+
+    #[test]
+    fn legacy_posting_format_is_refused_at_open() {
+        // A store whose Meta names v1, and one indexed before the format
+        // key existed (a policy but no format key), are both refused with
+        // the typed error naming the remedy — by every open path.
+        let legacy = |format: Option<&str>| {
+            let store = Arc::new(MemStore::new());
+            put_meta(store.as_ref(), META_POLICY, Policy::SkipTillNextMatch.name()).unwrap();
+            put_meta(store.as_ref(), META_METHOD, StnmMethod::Indexing.name()).unwrap();
+            if let Some(f) = format {
+                put_meta(store.as_ref(), META_POSTING_FORMAT, f).unwrap();
+            }
+            store
+        };
+        for store in [legacy(Some("v1")), legacy(None)] {
+            assert_eq!(posting_format(store.as_ref()), PostingFormat::V1);
+            let cfg = IndexConfig::new(Policy::SkipTillNextMatch);
+            for err in [
+                Indexer::open(store.clone()).err().unwrap(),
+                Indexer::with_store(store.clone(), cfg).err().unwrap(),
+            ] {
+                assert!(matches!(err, CoreError::ConfigMismatch { .. }), "{err}");
+                assert!(err.to_string().contains("re-index from the source log"), "{err}");
+            }
+        }
+        // A never-indexed store opens and is created as v2.
+        let fresh = Arc::new(MemStore::new());
+        assert!(check_posting_format(fresh.as_ref()).is_ok());
+        Indexer::with_store(fresh.clone(), IndexConfig::new(Policy::SkipTillNextMatch)).unwrap();
+        assert_eq!(get_meta(fresh.as_ref(), META_POSTING_FORMAT).as_deref(), Some("v2"));
     }
 
     #[test]

@@ -22,10 +22,12 @@
 //! * [`indexer`] — Algorithm 1: batched, duplicate-free index maintenance,
 //!   parallelized per trace; plus the §3.1.3 extensions (period partitioning
 //!   of the `Index` table, pruning of completed traces).
-//! * [`postings`] — the block-compressed v2 `Index` row format (delta +
-//!   varint packing with a per-row skip directory) and the seekable,
-//!   format-dispatching posting cursors. The fixed-width v1 codec in
-//!   [`tables`] stays as the differential-testing oracle.
+//! * [`postings`] — the block-compressed `Index` row format (delta +
+//!   varint packing in blocks, with a per-chunk directory), and [`decode`],
+//!   the single-pass kernel every reader decodes it with. The fixed-width
+//!   codec in [`tables`] stays as the differential-testing oracle.
+
+#![forbid(unsafe_code)]
 
 pub mod audit;
 pub mod catalog;
@@ -41,16 +43,15 @@ pub mod zones;
 
 pub use audit::{audit_disk, audit_store, AuditReport, AuditSummary, DiskAuditOutcome, Violation};
 pub use catalog::Catalog;
-pub use decode::{
-    active_decode_kind, decode_postings_v2_into, v2_decode_with_kind, DecodeKind, DecodeScratch,
-};
+pub use decode::decode_postings_v2_into;
 pub use error::CoreError;
 pub use indexer::{
-    index_generation, index_policy, posting_format, IndexConfig, Indexer, UpdateStats,
+    check_posting_format, index_generation, index_policy, posting_format, IndexConfig, Indexer,
+    UpdateStats,
 };
 pub use pairs::{create_pairs, PairKey, TracePairs};
 pub use policy::{Policy, StnmMethod};
-pub use postings::{IndexPostingCursor, PostingCursorV2, PostingFormat};
+pub use postings::PostingFormat;
 pub use stats::IndexStats;
 pub use zones::{install_zone_extractor, TableZones};
 

@@ -1,15 +1,13 @@
-//! Block-compressed (v2) `Index` posting rows with seekable cursors.
+//! Block-compressed `Index` posting rows.
 //!
-//! The v1 row format (`tables::encode_postings`) spends a fixed 20 bytes per
-//! posting. Pair postings are monotone-per-trace and written trace-sorted by
-//! the indexer, so the classic inverted-index layout — delta encoding +
-//! varints in fixed-size blocks, with a skip directory per row — compresses
-//! them several-fold *and* lets a reader jump over whole blocks when looking
-//! for a trace (`seek`), instead of linearly decoding everything before it.
+//! Pair postings are monotone-per-trace and written trace-sorted by the
+//! indexer, so the classic inverted-index layout — delta encoding + varints
+//! in fixed-size blocks, with a directory per chunk — stores them in a few
+//! bytes each (a fixed-width `(u32, u64, u64)` record spends 20).
 //!
 //! ## Row layout
 //!
-//! `Index` rows grow strictly by byte append (one append per batch), so a v2
+//! `Index` rows grow strictly by byte append (one append per batch), so a
 //! row is a sequence of self-delimiting **chunks**, one per append:
 //!
 //! ```text
@@ -17,12 +15,12 @@
 //!          [varint num_postings]           postings in this chunk (≥ 1)
 //!          [varint num_blocks]             directory entries (≥ 1)
 //!          [varint body_len]               bytes of block bodies
-//!          directory × num_blocks          skip directory
+//!          directory × num_blocks          block directory
 //!          body      × body_len            delta/varint-packed postings
 //!
 //! directory entry (per block):
 //!          [varint first_trace]            trace of the block's 1st posting
-//!          [varint max_trace − first_trace] upper bound for seek-skip
+//!          [varint max_trace − first_trace] largest trace in the block
 //!          [varint offset_delta]           body offset − previous offset
 //!                                          (first entry stores offset 0)
 //!          [varint count]                  postings in the block (≥ 1)
@@ -35,21 +33,22 @@
 //! bit-exactly — including unsorted traces and duplicate trace ids. Block
 //! size is [`V2_BLOCK_POSTINGS`] postings.
 //!
-//! ## Versioning and compatibility
+//! ## Versioning
 //!
-//! A store's posting format is a persisted configuration
-//! ([`PostingFormat`], resolved like the policy: sticky after the first
-//! write), **not** sniffed per row — a v1 row may legitimately start with
-//! the byte `0xF2`. Stores created before the format key exist read as v1,
-//! so old segments replay unchanged. `tables::decode_postings` (v1) remains
-//! the reference oracle: the property suites assert the v2 round-trip
-//! against it, and the auditor cross-checks every decoded v2 row against a
-//! v1 re-encode.
+//! This layout is the only one the workspace reads or writes. Its name,
+//! `v2`, is persisted in `Meta` ([`PostingFormat`]) and checked when a store
+//! is opened — never sniffed per row. Stores written with the earlier
+//! fixed-width `v1` layout are refused at open
+//! ([`crate::indexer::check_posting_format`]) and must be re-indexed.
+//!
+//! Shipping code decodes rows with the single-pass kernel in
+//! [`crate::decode`]. [`decode_postings_v2`] here is the byte-at-a-time
+//! reference the property suites hold that kernel against, and
+//! [`validate_v2_row`] is the auditor's stricter walk of the same bytes.
 
 use crate::error::CoreError;
-use crate::tables::{Posting, PostingCursor};
+use crate::tables::Posting;
 use crate::Result;
-use bytes::Bytes;
 use seqdet_log::TraceId;
 use seqdet_storage::codec::{Dec, Enc};
 
@@ -64,18 +63,18 @@ pub const V2_BLOCK_POSTINGS: usize = 128;
 /// fit their byte span.
 const MIN_POSTING_BYTES: usize = 3;
 
-/// On-disk encoding of `Index` posting rows.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// The posting-row layout tag persisted in a store's `Meta` table.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PostingFormat {
-    /// Fixed 20-byte `(trace, ts_a, ts_b)` records (the original layout).
+    /// Fixed 20-byte `(trace, ts_a, ts_b)` records — the original layout.
+    /// Recognised so a legacy store is refused by name; no longer readable.
     V1,
-    /// Block-compressed chunks with a per-chunk skip directory.
-    #[default]
+    /// Block-compressed chunks (this module) — the only readable layout.
     V2,
 }
 
 impl PostingFormat {
-    /// Stable name, as persisted in `Meta` and accepted by the CLI.
+    /// Stable name, as persisted in `Meta`.
     pub fn name(self) -> &'static str {
         match self {
             PostingFormat::V1 => "v1",
@@ -394,275 +393,28 @@ pub fn validate_v2_row(row: &[u8]) -> std::result::Result<Vec<Posting>, V2RowErr
     Ok(out)
 }
 
-// ---------------------------------------------------------------------------
-// Seekable cursor
-// ---------------------------------------------------------------------------
-
-/// Progress through one block's body bytes.
-#[derive(Debug, Clone)]
-struct BlockState {
-    entry: DirEntry,
-    /// Next unread byte, relative to the chunk body.
-    at: usize,
-    /// End of the block, relative to the chunk body.
-    end: usize,
-    /// Postings already yielded from this block.
-    yielded: usize,
-    prev_trace: u32,
-    prev_ts_a: u64,
-}
-
-/// Zero-copy streaming cursor over a v2 `Index` row.
-///
-/// Iterates postings in stored order, like [`PostingCursor`] does for v1
-/// rows; a torn row yields one `Err` and then terminates. The extra power
-/// is [`PostingCursorV2::seek`]: advancing to the next posting with
-/// `trace >= t` *skips whole blocks* via the chunk skip directories —
-/// blocks whose directory `max_trace` is below `t` are never decoded.
-#[derive(Debug, Clone)]
-pub struct PostingCursorV2 {
-    row: Bytes,
-    /// Offset of the next unparsed chunk.
-    pos: usize,
-    chunk: Option<Chunk>,
-    /// Index of the current block within the current chunk.
-    block_idx: usize,
-    block: Option<BlockState>,
-    /// A posting decoded by `seek` but not yet handed out.
-    pending: Option<Posting>,
-    failed: bool,
-}
-
-impl PostingCursorV2 {
-    /// Cursor over a raw v2 `Index` row.
-    pub fn new(row: Bytes) -> Self {
-        PostingCursorV2 {
-            row,
-            pos: 0,
-            chunk: None,
-            block_idx: 0,
-            block: None,
-            pending: None,
-            failed: false,
-        }
-    }
-
-    /// Cursor over no postings.
-    pub fn empty() -> Self {
-        Self::new(Bytes::new())
-    }
-
-    fn fail(&mut self, e: V2RowError) -> Option<Result<Posting>> {
-        self.failed = true;
-        Some(Err(e.into()))
-    }
-
-    /// Enter the next block that has postings left, parsing the next chunk
-    /// when the current one is exhausted. `Ok(false)` means end of row.
-    fn advance(&mut self) -> std::result::Result<bool, V2RowError> {
-        loop {
-            if let Some(b) = &self.block {
-                if b.yielded < b.entry.count {
-                    return Ok(true);
-                }
-                self.block = None;
-                self.block_idx += 1;
-            }
-            if let Some(chunk) = &self.chunk {
-                if let Some(&entry) = chunk.directory.get(self.block_idx) {
-                    let end = block_end(chunk, self.block_idx);
-                    self.block = Some(BlockState {
-                        entry,
-                        at: entry.offset,
-                        end,
-                        yielded: 0,
-                        prev_trace: 0,
-                        prev_ts_a: 0,
-                    });
-                    continue;
-                }
-                self.pos = chunk.next_chunk;
-                self.chunk = None;
-                self.block_idx = 0;
-            }
-            if self.pos >= self.row.len() {
-                return Ok(false);
-            }
-            self.chunk = Some(parse_chunk(&self.row, self.pos)?);
-        }
-    }
-
-    /// Decode the next posting of the current block (which must exist and
-    /// have postings left).
-    fn decode_next(&mut self) -> std::result::Result<Posting, V2RowError> {
-        // xtask-lint: allow(no-panic): advance() == Ok(true) guarantees a chunk; an unreachable-state guard, not an input check.
-        let chunk = self.chunk.as_ref().expect("advance() parsed a chunk");
-        // xtask-lint: allow(no-panic): advance() == Ok(true) guarantees a block; an unreachable-state guard, not an input check.
-        let block = self.block.as_mut().expect("advance() entered a block");
-        let body = &self.row[chunk.body_start..chunk.body_end];
-        let mut d = Dec::new(&body[block.at..block.end]);
-        let before = d.remaining();
-        let (Some(dt), Some(da), Some(db)) =
-            (d.varint_signed(), d.varint_signed(), d.varint_signed())
-        else {
-            return bad(format!("posting {} of a block is truncated", block.yielded))?;
-        };
-        let Some(trace) =
-            (block.prev_trace as i64).checked_add(dt).and_then(|t| u32::try_from(t).ok())
-        else {
-            return bad(format!("posting {}: trace delta leaves the u32 range", block.yielded))?;
-        };
-        let ts_a = block.prev_ts_a.wrapping_add(da as u64);
-        let ts_b = ts_a.wrapping_add(db as u64);
-        block.at += before - d.remaining();
-        block.yielded += 1;
-        block.prev_trace = trace;
-        block.prev_ts_a = ts_a;
-        if block.yielded == block.entry.count && block.at != block.end {
-            return bad("block does not end at the next directory offset")?;
-        }
-        Ok(Posting { trace: TraceId(trace), ts_a, ts_b })
-    }
-
-    /// Advance the cursor so the next yielded posting is the first one *in
-    /// stored order, at or after the current position* with `trace >= t`.
-    /// Blocks whose directory upper bound is below `t` are skipped without
-    /// decoding; returns the posting (also re-yielded by the following
-    /// `next()` call — `seek` positions, it does not consume). `None` when
-    /// no such posting remains.
-    pub fn seek(&mut self, t: TraceId) -> Option<Result<Posting>> {
-        if let Some(p) = self.pending {
-            if p.trace >= t {
-                return Some(Ok(p));
-            }
-            self.pending = None;
-        }
-        if self.failed {
-            return None;
-        }
-        loop {
-            match self.advance() {
-                Ok(true) => {}
-                Ok(false) => return None,
-                Err(e) => return self.fail(e),
-            }
-            {
-                // xtask-lint: allow(no-panic): advance() == Ok(true) guarantees a current block; unreachable-state guard.
-                let block = self.block.as_ref().expect("advance() entered a block");
-                // The whole block is below the seek key: skip it undecoded.
-                // (Only valid from the block's start — mid-block the delta
-                // chain is already partially consumed.)
-                if block.yielded == 0 && block.entry.max_trace < t.0 {
-                    // xtask-lint: allow(no-panic): block was just borrowed from self.block; unreachable-state guard.
-                    let b = self.block.as_mut().expect("current block exists");
-                    b.yielded = b.entry.count;
-                    b.at = b.end;
-                    continue;
-                }
-            }
-            match self.decode_next() {
-                Ok(p) if p.trace >= t => {
-                    self.pending = Some(p);
-                    return Some(Ok(p));
-                }
-                Ok(_) => continue,
-                Err(e) => return self.fail(e),
-            }
-        }
-    }
-}
-
-impl Iterator for PostingCursorV2 {
-    type Item = Result<Posting>;
-
-    fn next(&mut self) -> Option<Result<Posting>> {
-        if let Some(p) = self.pending.take() {
-            return Some(Ok(p));
-        }
-        if self.failed {
-            return None;
-        }
-        match self.advance() {
-            Ok(true) => {}
-            Ok(false) => return None,
-            Err(e) => return self.fail(e),
-        }
-        match self.decode_next() {
-            Ok(p) => Some(Ok(p)),
-            Err(e) => self.fail(e),
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Format dispatch
-// ---------------------------------------------------------------------------
-
-/// A posting cursor over either row format. Readers that hold the store's
-/// resolved [`PostingFormat`] use this to stay format-agnostic.
-#[derive(Debug, Clone)]
-pub enum IndexPostingCursor {
-    /// Fixed-width v1 records.
-    V1(PostingCursor),
-    /// Block-compressed v2 chunks.
-    V2(PostingCursorV2),
-}
-
-impl IndexPostingCursor {
-    /// Cursor over a raw row of the given format.
-    pub fn over(format: PostingFormat, row: Bytes) -> Self {
-        match format {
-            PostingFormat::V1 => IndexPostingCursor::V1(PostingCursor::new(row)),
-            PostingFormat::V2 => IndexPostingCursor::V2(PostingCursorV2::new(row)),
-        }
-    }
-
-    /// Cursor over no postings.
-    pub fn empty(format: PostingFormat) -> Self {
-        Self::over(format, Bytes::new())
-    }
-
-    /// Advance to the next posting with `trace >= t` (stored order); see
-    /// [`PostingCursor::seek`] / [`PostingCursorV2::seek`].
-    pub fn seek(&mut self, t: TraceId) -> Option<Result<Posting>> {
-        match self {
-            IndexPostingCursor::V1(c) => c.seek(t),
-            IndexPostingCursor::V2(c) => c.seek(t),
-        }
-    }
-}
-
-impl Iterator for IndexPostingCursor {
-    type Item = Result<Posting>;
-
-    fn next(&mut self) -> Option<Result<Posting>> {
-        match self {
-            IndexPostingCursor::V1(c) => c.next(),
-            IndexPostingCursor::V2(c) => c.next(),
-        }
-    }
-}
-
-/// Decode a whole `Index` row of the given format — the format-dispatching
-/// sibling of [`crate::tables::decode_postings`].
+/// Decode a whole `Index` row of a store whose persisted layout tag is
+/// `format`, through the query path's kernel
+/// ([`crate::decode::decode_postings_v2_into`]). A [`PostingFormat::V1`]
+/// store is refused with the same typed error opening it gives.
 pub fn decode_index_row(format: PostingFormat, row: &[u8]) -> Result<Vec<Posting>> {
     match format {
-        PostingFormat::V1 => crate::tables::decode_postings(row),
-        PostingFormat::V2 => decode_postings_v2(row),
+        PostingFormat::V1 => Err(v1_unreadable()),
+        PostingFormat::V2 => {
+            let mut out = Vec::new();
+            crate::decode::decode_postings_v2_into(row, &mut out)?;
+            Ok(out)
+        }
     }
 }
 
-/// Open a format-aware cursor over the postings of `key` in one `Index`
-/// table; a missing row behaves as an empty posting list.
-pub fn index_posting_cursor<S: seqdet_storage::KvStore>(
-    store: &S,
-    format: PostingFormat,
-    table: seqdet_storage::TableId,
-    key: crate::pairs::PairKey,
-) -> IndexPostingCursor {
-    match store.get(table, &crate::tables::pair_key_bytes(key)) {
-        Some(row) => IndexPostingCursor::over(format, row),
-        None => IndexPostingCursor::empty(format),
+/// The refusal every entry point gives a legacy store.
+pub(crate) fn v1_unreadable() -> CoreError {
+    CoreError::ConfigMismatch {
+        stored: "posting format v1".into(),
+        requested: "posting format v2 (posting format v1 is no longer readable; \
+                    re-index from the source log)"
+            .into(),
     }
 }
 
@@ -727,46 +479,6 @@ mod tests {
     }
 
     #[test]
-    fn cursor_yields_same_postings_as_decode() {
-        let list: Vec<Posting> = (0..300).map(|i| p(i / 3, i as u64, i as u64 + 1)).collect();
-        let row = Bytes::from(encode_postings_v2(&list));
-        let via_cursor: Vec<Posting> =
-            PostingCursorV2::new(row.clone()).map(|r| r.unwrap()).collect();
-        assert_eq!(via_cursor, decode_postings_v2(&row).unwrap());
-        assert_eq!(PostingCursorV2::empty().count(), 0);
-    }
-
-    #[test]
-    fn seek_lands_on_first_posting_at_or_after_key() {
-        let list: Vec<Posting> = (0..400).map(|i| p(i * 2, i as u64, i as u64 + 1)).collect();
-        let row = Bytes::from(encode_postings_v2(&list));
-        for key in [0u32, 1, 2, 255, 256, 500, 798] {
-            let mut c = PostingCursorV2::new(row.clone());
-            let got = c.seek(TraceId(key)).unwrap().unwrap();
-            let want = list.iter().find(|p| p.trace.0 >= key).copied().unwrap();
-            assert_eq!(got, want, "seek({key})");
-            // seek positions without consuming: next() re-yields it.
-            assert_eq!(c.next().unwrap().unwrap(), want);
-        }
-        let mut c = PostingCursorV2::new(row.clone());
-        assert!(c.seek(TraceId(799)).is_none(), "past the last trace");
-        assert!(c.next().is_none());
-    }
-
-    #[test]
-    fn seek_is_monotone_and_resumable() {
-        let list: Vec<Posting> = (0..300).map(|i| p(i, 1, 2)).collect();
-        let row = Bytes::from(encode_postings_v2(&list));
-        let mut c = PostingCursorV2::new(row);
-        assert_eq!(c.seek(TraceId(10)).unwrap().unwrap().trace, TraceId(10));
-        assert_eq!(c.next().unwrap().unwrap().trace, TraceId(10));
-        assert_eq!(c.next().unwrap().unwrap().trace, TraceId(11));
-        // Seeking below the current position does not rewind.
-        assert_eq!(c.seek(TraceId(0)).unwrap().unwrap().trace, TraceId(12));
-        assert_eq!(c.seek(TraceId(250)).unwrap().unwrap().trace, TraceId(250));
-    }
-
-    #[test]
     fn v1_tagged_garbage_is_a_typed_error() {
         // A v1 row whose first trace is ≡ V2_TAG mod 256 would mis-sniff —
         // which is why the format is persisted config, not sniffed. Fed to
@@ -809,22 +521,17 @@ mod tests {
             assert_eq!(PostingFormat::from_name(f.name()), Some(f));
         }
         assert_eq!(PostingFormat::from_name("v3"), None);
-        assert_eq!(PostingFormat::default(), PostingFormat::V2);
     }
 
     #[test]
-    fn dispatching_cursor_and_decode_agree_across_formats() {
+    fn decode_index_row_reads_v2_and_refuses_v1() {
         let list: Vec<Posting> = (0..50).map(|i| p(i, 2, 9)).collect();
-        let rows =
-            [(PostingFormat::V1, v1_row(&list)), (PostingFormat::V2, encode_postings_v2(&list))];
-        for (format, row) in rows {
-            let via_decode = decode_index_row(format, &row).unwrap();
-            assert_eq!(via_decode, list, "{format:?}");
-            let mut cursor = IndexPostingCursor::over(format, Bytes::from(row));
-            assert_eq!(cursor.seek(TraceId(30)).unwrap().unwrap().trace, TraceId(30));
-            let rest: Vec<Posting> = cursor.map(|r| r.unwrap()).collect();
-            assert_eq!(rest.len(), 20, "{format:?}");
+        let row = encode_postings_v2(&list);
+        assert_eq!(decode_index_row(PostingFormat::V2, &row).unwrap(), list);
+        for row in [&row[..], &v1_row(&list)[..], &[][..]] {
+            let err = decode_index_row(PostingFormat::V1, row).unwrap_err();
+            assert!(matches!(err, CoreError::ConfigMismatch { .. }), "{err}");
+            assert!(err.to_string().contains("re-index"), "{err}");
         }
-        assert_eq!(IndexPostingCursor::empty(PostingFormat::V2).count(), 0);
     }
 }

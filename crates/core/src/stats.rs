@@ -5,8 +5,8 @@
 //! benches report them). Collection scans the store, so it is a diagnostic
 //! operation, not a query-path one.
 
-use crate::indexer::{active_index_tables, posting_format};
-use crate::postings::decode_index_row;
+use crate::decode::decode_postings_v2_into;
+use crate::indexer::active_index_tables;
 use crate::tables::{COUNT, INDEX, LAST_CHECKED, RCOUNT, SEQ};
 use crate::Result;
 use seqdet_storage::KvStore;
@@ -22,8 +22,7 @@ pub struct IndexStats {
     pub index_rows: usize,
     /// Total postings across all active `Index` partitions.
     pub postings: usize,
-    /// Total bytes across `Index` rows (20 per posting under v1;
-    /// block-compressed under v2).
+    /// Total bytes across `Index` rows (block-compressed postings).
     pub index_bytes: usize,
     /// Rows in `Count` (activities appearing first in some pair).
     pub count_rows: usize,
@@ -49,13 +48,15 @@ impl IndexStats {
             stats.seq_bytes += row.len();
         }
         let tables = active_index_tables(store);
-        let format = posting_format(store);
         stats.partitions = tables.len();
+        let mut postings = Vec::new();
         for t in tables {
             for (_, row) in store.scan(t) {
                 stats.index_rows += 1;
                 stats.index_bytes += row.len();
-                stats.postings += decode_index_row(format, &row)?.len();
+                postings.clear();
+                decode_postings_v2_into(&row, &mut postings)?;
+                stats.postings += postings.len();
             }
         }
         // When partitioning is off, `active_index_tables` returns [INDEX];
@@ -114,25 +115,10 @@ mod tests {
     }
 
     #[test]
-    fn index_bytes_track_the_posting_format() {
-        let mut b = EventLogBuilder::new();
-        for (act, ts) in [("A", 1), ("A", 2), ("B", 3), ("A", 4), ("B", 5), ("A", 6)] {
-            b.add("t1", act, ts);
-        }
-        b.add("t2", "B", 1).add("t2", "A", 2);
-        let log = b.build();
-        let mut sized = std::collections::HashMap::new();
-        for format in [crate::PostingFormat::V1, crate::PostingFormat::V2] {
-            let cfg = IndexConfig::new(Policy::SkipTillNextMatch).with_posting_format(format);
-            let mut ix = Indexer::new(cfg);
-            ix.index_log(&log).unwrap();
-            let s = IndexStats::collect(ix.store().as_ref()).unwrap();
-            assert_eq!(s.postings, 8, "{format:?}");
-            sized.insert(format.name(), s.index_bytes);
-        }
-        // v1 spends exactly 20 bytes per posting; v2 strictly fewer.
-        assert_eq!(sized["v1"], 8 * 20);
-        assert!(sized["v2"] < sized["v1"], "{sized:?}");
+    fn index_bytes_are_block_compressed() {
+        // A fixed-width record would spend 20 bytes per posting.
+        let s = IndexStats::collect(indexed(false).store().as_ref()).unwrap();
+        assert!(s.index_bytes < s.postings * 20, "{s:?}");
     }
 
     #[test]

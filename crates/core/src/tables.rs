@@ -18,7 +18,6 @@
 use crate::error::CoreError;
 use crate::pairs::PairKey;
 use crate::Result;
-use bytes::Bytes;
 use seqdet_log::{Activity, Attr, AttrEntry, Event, TraceId, Ts};
 use seqdet_storage::codec::{Dec, Enc};
 use seqdet_storage::{KvStore, TableId};
@@ -160,7 +159,10 @@ pub fn read_seq<S: KvStore>(store: &S, trace: TraceId) -> Result<Vec<Event>> {
 // Index table
 // ---------------------------------------------------------------------------
 
-/// Encode postings (without their key) as `Index` records.
+/// Encode postings (without their key) as fixed-width 20-byte records
+/// (`trace: u32, ts_a: u64, ts_b: u64`, little-endian). Not a stored
+/// layout: the independent reference codec the posting property suites
+/// compare the block-compressed codec against.
 pub fn encode_postings(trace: TraceId, occurrences: &[(Ts, Ts)]) -> Vec<u8> {
     let mut e = Enc::with_capacity(occurrences.len() * 20);
     for &(a, b) in occurrences {
@@ -169,7 +171,7 @@ pub fn encode_postings(trace: TraceId, occurrences: &[(Ts, Ts)]) -> Vec<u8> {
     e.into_vec()
 }
 
-/// Decode an `Index` row.
+/// Inverse of [`encode_postings`] (reference codec, see there).
 pub fn decode_postings(row: &[u8]) -> Result<Vec<Posting>> {
     let mut d = Dec::new(row);
     let mut out = Vec::with_capacity(row.len() / 20);
@@ -182,127 +184,13 @@ pub fn decode_postings(row: &[u8]) -> Result<Vec<Posting>> {
     Ok(out)
 }
 
-/// Read all postings of a pair from one `Index` table, dispatching on the
-/// store's persisted posting format (v1 for legacy stores).
-///
-/// Slow/compat path: materializes a `Vec<Posting>`. The query read path uses
-/// the cursors instead, which walk the stored row in place.
+/// Read all postings of a pair from one `Index` table (empty if absent).
 pub fn read_postings<S: KvStore>(store: &S, table: TableId, key: PairKey) -> Result<Vec<Posting>> {
-    match store.get(table, &pair_key_bytes(key)) {
-        Some(row) => crate::postings::decode_index_row(crate::indexer::posting_format(store), &row),
-        None => Ok(Vec::new()),
+    let mut out = Vec::new();
+    if let Some(row) = store.get(table, &pair_key_bytes(key)) {
+        crate::decode::decode_postings_v2_into(&row, &mut out)?;
     }
-}
-
-/// Size in bytes of one encoded `Index` posting record
-/// (`trace: u32, ts_a: u64, ts_b: u64`, all little-endian).
-pub const POSTING_RECORD_BYTES: usize = 20;
-
-/// Zero-copy iterator over the postings of one `Index` row.
-///
-/// Decodes `(trace, ts_a, ts_b)` records straight out of the [`Bytes`] row
-/// returned by [`KvStore::get`] — no intermediate `Vec<Posting>` is
-/// allocated, and the row buffer is shared, not copied. Yields exactly the
-/// postings [`decode_postings`] would return; a truncated/torn tail yields
-/// one `Err` and then terminates. An empty row yields nothing.
-#[derive(Debug, Clone)]
-pub struct PostingCursor {
-    row: Bytes,
-    pos: usize,
-    failed: bool,
-}
-
-impl PostingCursor {
-    /// Cursor over a raw `Index` row.
-    pub fn new(row: Bytes) -> Self {
-        PostingCursor { row, pos: 0, failed: false }
-    }
-
-    /// Cursor over no postings.
-    pub fn empty() -> Self {
-        Self::new(Bytes::new())
-    }
-
-    /// Number of whole records left to yield (0 once a decode error fired).
-    pub fn remaining(&self) -> usize {
-        if self.failed {
-            0
-        } else {
-            (self.row.len() - self.pos) / POSTING_RECORD_BYTES
-        }
-    }
-
-    /// Advance the cursor so the next yielded posting is the first one *in
-    /// stored order, at or after the current position* with `trace >= t`,
-    /// and return it (the following `next()` re-yields it — `seek`
-    /// positions, it does not consume). `None` when no such posting
-    /// remains.
-    ///
-    /// v1 rows carry no skip structure, so this scans record headers
-    /// linearly — but it only touches the 4 trace-id bytes of each skipped
-    /// record, never the timestamps. The block-compressed v2 cursor
-    /// (`postings::PostingCursorV2::seek`) skips whole blocks instead.
-    pub fn seek(&mut self, t: TraceId) -> Option<Result<Posting>> {
-        if self.failed {
-            return None;
-        }
-        while self.pos < self.row.len() {
-            let rest = &self.row[self.pos..];
-            if rest.len() < POSTING_RECORD_BYTES {
-                self.failed = true;
-                return Some(Err(corrupt("Index", self.row.len())));
-            }
-            let trace = u32::from_le_bytes(rest[0..4].try_into().unwrap());
-            if trace >= t.0 {
-                let ts_a = u64::from_le_bytes(rest[4..12].try_into().unwrap());
-                let ts_b = u64::from_le_bytes(rest[12..20].try_into().unwrap());
-                return Some(Ok(Posting { trace: TraceId(trace), ts_a, ts_b }));
-            }
-            self.pos += POSTING_RECORD_BYTES;
-        }
-        None
-    }
-}
-
-impl Iterator for PostingCursor {
-    type Item = Result<Posting>;
-
-    fn next(&mut self) -> Option<Result<Posting>> {
-        if self.failed || self.pos >= self.row.len() {
-            return None;
-        }
-        let rest = &self.row[self.pos..];
-        if rest.len() < POSTING_RECORD_BYTES {
-            self.failed = true;
-            return Some(Err(corrupt("Index", self.row.len())));
-        }
-        let trace = u32::from_le_bytes(rest[0..4].try_into().unwrap());
-        let ts_a = u64::from_le_bytes(rest[4..12].try_into().unwrap());
-        let ts_b = u64::from_le_bytes(rest[12..20].try_into().unwrap());
-        self.pos += POSTING_RECORD_BYTES;
-        Some(Ok(Posting { trace: TraceId(trace), ts_a, ts_b }))
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        if self.failed {
-            return (0, Some(0));
-        }
-        let rest = self.row.len() - self.pos;
-        let whole = rest / POSTING_RECORD_BYTES;
-        // A misaligned tail yields one extra `Err` item.
-        (whole, Some(whole + usize::from(!rest.is_multiple_of(POSTING_RECORD_BYTES))))
-    }
-}
-
-/// Open a zero-copy cursor over the postings of `key` in one `Index` table.
-///
-/// A missing row behaves as an empty posting list, mirroring
-/// [`read_postings`].
-pub fn posting_cursor<S: KvStore>(store: &S, table: TableId, key: PairKey) -> PostingCursor {
-    match store.get(table, &pair_key_bytes(key)) {
-        Some(row) => PostingCursor::new(row),
-        None => PostingCursor::empty(),
-    }
+    Ok(out)
 }
 
 // ---------------------------------------------------------------------------
@@ -488,12 +376,14 @@ mod tests {
 
     #[test]
     fn postings_roundtrip() {
+        use crate::postings::encode_postings_v2;
         let store = MemStore::new();
         let key = Activity::pair_key(Activity(0), Activity(1));
+        let p = |trace, ts_a, ts_b| Posting { trace: TraceId(trace), ts_a, ts_b };
         store
-            .append(INDEX, &pair_key_bytes(key), &encode_postings(TraceId(3), &[(1, 5), (9, 12)]))
+            .append(INDEX, &pair_key_bytes(key), &encode_postings_v2(&[p(3, 1, 5), p(3, 9, 12)]))
             .unwrap();
-        store.append(INDEX, &pair_key_bytes(key), &encode_postings(TraceId(4), &[(2, 3)])).unwrap();
+        store.append(INDEX, &pair_key_bytes(key), &encode_postings_v2(&[p(4, 2, 3)])).unwrap();
         let ps = read_postings(&store, INDEX, key).unwrap();
         assert_eq!(ps.len(), 3);
         assert_eq!(ps[0], Posting { trace: TraceId(3), ts_a: 1, ts_b: 5 });
@@ -579,99 +469,5 @@ mod tests {
         // Torn records are detected.
         store.put(ATTRS, &seq_key(TraceId(5)), &[1, 2, 3]).unwrap();
         assert!(read_attrs(&store, TraceId(5)).is_err());
-    }
-
-    #[test]
-    fn cursor_matches_read_postings() {
-        let store = MemStore::new();
-        let key = Activity::pair_key(Activity(0), Activity(1));
-        store
-            .append(INDEX, &pair_key_bytes(key), &encode_postings(TraceId(3), &[(1, 5), (9, 12)]))
-            .unwrap();
-        store.append(INDEX, &pair_key_bytes(key), &encode_postings(TraceId(4), &[(2, 3)])).unwrap();
-        let cursor = posting_cursor(&store, INDEX, key);
-        assert_eq!(cursor.remaining(), 3);
-        let via_cursor: Vec<Posting> = cursor.map(|p| p.unwrap()).collect();
-        assert_eq!(via_cursor, read_postings(&store, INDEX, key).unwrap());
-        // Missing rows behave as empty posting lists.
-        assert_eq!(posting_cursor(&store, INDEX, 999).count(), 0);
-        assert_eq!(PostingCursor::empty().count(), 0);
-    }
-
-    #[test]
-    fn cursor_seek_lands_on_first_trace_at_or_after_key() {
-        let mut row = Vec::new();
-        for t in [2u32, 2, 5, 9] {
-            row.extend_from_slice(&encode_postings(TraceId(t), &[(1, 2)]));
-        }
-        let mut c = PostingCursor::new(Bytes::from(row.clone()));
-        assert_eq!(c.seek(TraceId(0)).unwrap().unwrap().trace, TraceId(2));
-        // seek positions without consuming: next() re-yields the match.
-        assert_eq!(c.next().unwrap().unwrap().trace, TraceId(2));
-        assert_eq!(c.seek(TraceId(3)).unwrap().unwrap().trace, TraceId(5));
-        assert_eq!(c.seek(TraceId(6)).unwrap().unwrap().trace, TraceId(9));
-        assert!(c.seek(TraceId(10)).is_none());
-        assert!(c.next().is_none());
-        // A torn tail reached by seek errors once, then the cursor stops.
-        let mut torn = row;
-        torn.truncate(POSTING_RECORD_BYTES + 3);
-        let mut c = PostingCursor::new(Bytes::from(torn));
-        assert!(c.seek(TraceId(100)).unwrap().is_err());
-        assert!(c.seek(TraceId(100)).is_none());
-        assert_eq!(c.remaining(), 0);
-    }
-
-    #[test]
-    fn cursor_truncated_row_errors_once_then_stops() {
-        let store = MemStore::new();
-        store.put(INDEX, &pair_key_bytes(1), &[1, 2, 3]).unwrap(); // torn record
-        let mut cursor = posting_cursor(&store, INDEX, 1);
-        assert!(cursor.next().unwrap().is_err());
-        assert!(cursor.next().is_none());
-        assert_eq!(cursor.remaining(), 0);
-    }
-
-    mod cursor_props {
-        use super::*;
-        use proptest::prelude::*;
-
-        fn row_strategy() -> impl Strategy<Value = Vec<u8>> {
-            // Arbitrary byte rows: multiples of 20 decode cleanly, everything
-            // else must produce a trailing error from both paths.
-            prop::collection::vec(0u8..=255, 0..128)
-        }
-
-        proptest! {
-            #![proptest_config(ProptestConfig::with_cases(64))]
-            #[test]
-            fn cursor_equals_decode_postings(row in row_strategy()) {
-                let cursor = PostingCursor::new(bytes::Bytes::copy_from_slice(&row));
-                let via_cursor: std::result::Result<Vec<Posting>, _> = cursor.collect();
-                match decode_postings(&row) {
-                    Ok(expected) => {
-                        prop_assert_eq!(via_cursor.unwrap(), expected);
-                    }
-                    Err(_) => {
-                        prop_assert!(via_cursor.is_err());
-                    }
-                }
-            }
-
-            #[test]
-            fn cursor_roundtrips_encoded_postings(
-                occurrences in prop::collection::vec((0u64..1_000, 0u64..1_000), 0..40),
-                trace in 0u32..50,
-            ) {
-                let row = encode_postings(TraceId(trace), &occurrences);
-                let cursor = PostingCursor::new(bytes::Bytes::copy_from_slice(&row));
-                prop_assert_eq!(cursor.remaining(), occurrences.len());
-                let got: Vec<Posting> = cursor.map(|p| p.unwrap()).collect();
-                prop_assert_eq!(got.len(), occurrences.len());
-                for (p, &(a, b)) in got.iter().zip(&occurrences) {
-                    prop_assert_eq!(p.trace, TraceId(trace));
-                    prop_assert_eq!((p.ts_a, p.ts_b), (a, b));
-                }
-            }
-        }
     }
 }

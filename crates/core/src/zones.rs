@@ -17,7 +17,7 @@
 //! trace and never expired by retention; it is only ever *less* prunable,
 //! never incorrectly skipped.
 
-use crate::postings::{decode_index_row, PostingFormat};
+use crate::decode::decode_postings_v2_into;
 use crate::tables::{
     decode_events, decode_last_checked, INDEX, INDEX_PARTITION_BASE, LAST_CHECKED, SEQ,
 };
@@ -29,22 +29,10 @@ fn is_index_table(table: TableId) -> bool {
     table == INDEX || table.0 >= INDEX_PARTITION_BASE
 }
 
-/// [`ZoneExtractor`] over the five-table schema of §3.1.2.
-///
-/// Holds the store's resolved posting format so `Index` rows decode without
-/// a per-row metadata lookup (the extractor runs inside the storage layer's
-/// compaction, which must not re-enter the store). Construct it *after* the
-/// index configuration is persisted — [`install_zone_extractor`] does.
-pub struct TableZones {
-    format: PostingFormat,
-}
-
-impl TableZones {
-    /// Extractor for a store whose `Index` rows use `format`.
-    pub fn new(format: PostingFormat) -> Self {
-        Self { format }
-    }
-}
+/// [`ZoneExtractor`] over the five-table schema of §3.1.2. Stateless: it
+/// runs inside the storage layer's compaction, which must not re-enter the
+/// store.
+pub struct TableZones;
 
 impl ZoneExtractor for TableZones {
     fn zones(&self, table: TableId, key: &[u8], value: &[u8]) -> Option<RowZones> {
@@ -62,7 +50,8 @@ impl ZoneExtractor for TableZones {
             }
             Some(RowZones { trace_min: trace, trace_max: trace, ts_min, ts_max })
         } else if is_index_table(table) {
-            let postings = decode_index_row(self.format, value).ok()?;
+            let mut postings = Vec::new();
+            decode_postings_v2_into(value, &mut postings).ok()?;
             let mut iter = postings.iter();
             let p0 = iter.next()?;
             let mut z = RowZones {
@@ -103,34 +92,21 @@ impl ZoneExtractor for TableZones {
     }
 }
 
-/// Install a [`TableZones`] extractor on a persistent store, reading the
-/// store's persisted posting format. Call after the index configuration is
-/// written (i.e. after constructing the [`crate::Indexer`] or on a store
-/// that was indexed before) — on a store with no persisted format, `Index`
-/// rows are assumed v1 and v2 rows simply yield no zones.
+/// Install a [`TableZones`] extractor on a persistent store.
 pub fn install_zone_extractor(store: &DiskStore) {
-    let format = crate::indexer::posting_format(store);
-    store.set_zone_extractor(Arc::new(TableZones::new(format)));
+    store.set_zone_extractor(Arc::new(TableZones));
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tables::{encode_events, encode_last_checked, encode_postings, LastCheckedEntry};
+    use crate::tables::{encode_events, encode_last_checked, LastCheckedEntry};
     use crate::tables::{index_partition, Posting, COUNT, META};
     use seqdet_log::{Event, TraceId};
 
-    fn v1_row(postings: &[Posting]) -> Vec<u8> {
-        let mut row = Vec::new();
-        for p in postings {
-            row.extend_from_slice(&encode_postings(p.trace, &[(p.ts_a, p.ts_b)]));
-        }
-        row
-    }
-
     #[test]
     fn seq_rows_zone_to_their_trace_and_time_span() {
-        let z = TableZones::new(PostingFormat::V1);
+        let z = TableZones;
         let row = encode_events(&[
             Event::new(seqdet_log::Activity(0), 5),
             Event::new(seqdet_log::Activity(1), 9),
@@ -143,27 +119,24 @@ mod tests {
     }
 
     #[test]
-    fn index_rows_zone_across_postings_in_both_formats() {
-        let postings = vec![
-            Posting { trace: TraceId(3), ts_a: 10, ts_b: 20 },
+    fn index_rows_zone_across_postings() {
+        let postings = [
             Posting { trace: TraceId(1), ts_a: 15, ts_b: 40 },
+            Posting { trace: TraceId(3), ts_a: 10, ts_b: 20 },
         ];
         let want = RowZones { trace_min: 1, trace_max: 3, ts_min: 10, ts_max: 40 };
         let key = 0u64.to_le_bytes();
-        let v1 = TableZones::new(PostingFormat::V1);
-        assert_eq!(v1.zones(INDEX, &key, &v1_row(&postings)).unwrap(), want);
-        let mut sorted = postings.clone();
-        sorted.sort_by_key(|p| p.trace);
-        let v2 = TableZones::new(PostingFormat::V2);
-        let row2 = crate::postings::encode_postings_v2(&sorted);
-        assert_eq!(v2.zones(index_partition(4), &key, &row2).unwrap(), want);
-        // A v2 row under a v1 extractor fails to decode → None, not junk.
-        assert!(v1.zones(INDEX, &key, &row2).is_none());
+        let row = crate::postings::encode_postings_v2(&postings);
+        for table in [INDEX, index_partition(4)] {
+            assert_eq!(TableZones.zones(table, &key, &row).unwrap(), want);
+        }
+        // A row that fails to decode → conservative None, not junk.
+        assert!(TableZones.zones(INDEX, &key, &row[..row.len() - 1]).is_none());
     }
 
     #[test]
     fn last_checked_and_zoneless_tables() {
-        let z = TableZones::new(PostingFormat::V2);
+        let z = TableZones;
         let row = encode_last_checked(&[
             LastCheckedEntry { trace: TraceId(2), last_completion: 30 },
             LastCheckedEntry { trace: TraceId(9), last_completion: 12 },

@@ -17,8 +17,7 @@ use seqdet_core::tables::{
     encode_counts, encode_events, encode_last_checked, encode_postings, CountEntry,
     LastCheckedEntry, Posting,
 };
-use seqdet_core::PostingFormat;
-use seqdet_core::{decode_postings_v2_into, DecodeScratch};
+use seqdet_core::{decode_postings_v2_into, PostingFormat};
 use seqdet_log::{Activity, Attr, AttrEntry, Event, TraceId};
 
 fn events_strategy() -> impl Strategy<Value = Vec<Event>> {
@@ -44,19 +43,13 @@ fn posting_list_strategy() -> impl Strategy<Value = Vec<Posting>> {
     })
 }
 
-/// Format-dispatching encoder counterpart of [`decode_index_row`]. The
-/// production encoders live on the indexer's write path; this mirrors the
-/// dispatch so the reader's format switch is itself roundtrip-tested.
-fn encode_index_row(format: PostingFormat, postings: &[Posting]) -> Vec<u8> {
-    match format {
-        PostingFormat::V1 => {
-            postings.iter().flat_map(|p| encode_postings(p.trace, &[(p.ts_a, p.ts_b)])).collect()
-        }
-        PostingFormat::V2 => encode_postings_v2(postings),
-    }
+/// Encoder counterpart of [`decode_index_row`]: the `Index` rows of a
+/// readable store are `encode_postings_v2` chunks.
+fn encode_index_row(postings: &[Posting]) -> Vec<u8> {
+    encode_postings_v2(postings)
 }
 
-/// Appending encoder counterpart of [`decode_postings_v2_into`]: the wide
+/// Appending encoder counterpart of [`decode_postings_v2_into`]: the
 /// decode kernel *appends* to its output buffer (the arena contract), so
 /// its registered roundtrip exercises the appending form on both sides.
 fn encode_postings_v2_into(postings: &[Posting], out: &mut Vec<u8>) {
@@ -101,29 +94,22 @@ proptest! {
 
     #[test]
     fn postings_v2_roundtrip(postings in posting_list_strategy()) {
-        let row = encode_postings_v2(&postings);
-        prop_assert_eq!(decode_postings_v2(&row).unwrap(), postings);
+        let row = encode_index_row(&postings);
+        let oracle = decode_postings_v2(&row).unwrap();
+        prop_assert_eq!(&decode_index_row(PostingFormat::V2, &row).unwrap(), &oracle);
+        prop_assert_eq!(oracle, postings);
     }
 
     #[test]
     fn postings_v2_into_roundtrip_appends(postings in posting_list_strategy()) {
         let mut row = Vec::new();
         encode_postings_v2_into(&postings, &mut row);
-        let mut scratch = DecodeScratch::new();
         let sentinel = Posting { trace: TraceId(u32::MAX), ts_a: 7, ts_b: 9 };
         let mut out = vec![sentinel];
-        decode_postings_v2_into(&row, &mut scratch, &mut out).unwrap();
+        decode_postings_v2_into(&row, &mut out).unwrap();
         // Appending on both sides: the pre-existing prefix survives.
         prop_assert_eq!(out[0], sentinel);
         prop_assert_eq!(&out[1..], &postings[..]);
-    }
-
-    #[test]
-    fn index_row_roundtrips_under_both_formats(postings in posting_list_strategy()) {
-        for format in [PostingFormat::V1, PostingFormat::V2] {
-            let row = encode_index_row(format, &postings);
-            prop_assert_eq!(&decode_index_row(format, &row).unwrap(), &postings);
-        }
     }
 
     #[test]
@@ -153,8 +139,7 @@ proptest! {
         let _ = decode_events(&row);
         let _ = decode_postings(&row);
         let _ = decode_postings_v2(&row);
-        let _ = decode_postings_v2_into(&row, &mut DecodeScratch::new(), &mut Vec::new());
-        let _ = decode_index_row(PostingFormat::V1, &row);
+        let _ = decode_postings_v2_into(&row, &mut Vec::new());
         let _ = decode_index_row(PostingFormat::V2, &row);
         let _ = decode_counts(&row);
         let _ = decode_last_checked(&row);
@@ -200,7 +185,6 @@ fn empty_rows_are_valid_everywhere() {
     assert!(decode_events(&[]).unwrap().is_empty());
     assert!(decode_postings(&[]).unwrap().is_empty());
     assert!(decode_postings_v2(&[]).unwrap().is_empty());
-    assert!(decode_index_row(PostingFormat::V1, &[]).unwrap().is_empty());
     assert!(decode_index_row(PostingFormat::V2, &[]).unwrap().is_empty());
     assert!(decode_counts(&[]).unwrap().is_empty());
     assert!(decode_last_checked(&[]).unwrap().is_empty());

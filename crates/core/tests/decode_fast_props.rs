@@ -1,11 +1,9 @@
-//! Differential property suite for the wide v2 decode kernel.
+//! Differential property suite for the posting decode kernel.
 //!
-//! The scalar `decode_postings_v2` is the oracle; the branchless and SIMD
-//! kinds of [`v2_decode_with_kind`] must accept *exactly* the rows it
-//! accepts and produce bit-identical postings. Error *messages* may differ
-//! for multiply-corrupt rows (the fast path can surface a truncation
-//! before the scalar path's trace-range check), so errors are compared as
-//! `is_err()` only, while `Ok` values are compared exactly.
+//! The scalar `decode_postings_v2` is the oracle; the kernel
+//! ([`decode_postings_v2_into`]) must accept *exactly* the rows it accepts
+//! and produce bit-identical postings. Errors are compared as `is_err()`
+//! only, while `Ok` values are compared exactly.
 //!
 //! Shapes deliberately covered by the strategies:
 //!
@@ -20,12 +18,10 @@
 //!   arbitrary buffers.
 
 use proptest::prelude::*;
+use seqdet_core::decode_postings_v2_into;
 use seqdet_core::postings::{decode_postings_v2, encode_postings_v2};
 use seqdet_core::tables::Posting;
-use seqdet_core::{v2_decode_with_kind, DecodeKind, DecodeScratch};
 use seqdet_log::TraceId;
-
-const KINDS: [DecodeKind; 3] = [DecodeKind::Scalar, DecodeKind::Branchless, DecodeKind::Simd];
 
 fn mk(postings: Vec<(u32, u64, u64)>) -> Vec<Posting> {
     postings.into_iter().map(|(t, a, b)| Posting { trace: TraceId(t), ts_a: a, ts_b: b }).collect()
@@ -42,31 +38,28 @@ fn arb_extreme_postings() -> impl Strategy<Value = Vec<Posting>> {
     prop::collection::vec((0u32..=u32::MAX, 0u64..=u64::MAX, 0u64..=u64::MAX), 0..160).prop_map(mk)
 }
 
-/// Decode `row` with every kind and check the equivalence contract against
+/// Decode `row` with the kernel and check the equivalence contract against
 /// the scalar oracle. Returns proptest's unit result.
-fn assert_kinds_match_oracle(row: &[u8]) -> Result<(), TestCaseError> {
+fn assert_kernel_matches_oracle(row: &[u8]) -> Result<(), TestCaseError> {
     let oracle = decode_postings_v2(row);
-    let mut scratch = DecodeScratch::new();
-    for kind in KINDS {
-        let canary = Posting { trace: TraceId(42), ts_a: 1, ts_b: 2 };
-        let mut out = vec![canary];
-        let got = v2_decode_with_kind(kind, row, &mut scratch, &mut out);
-        match (&oracle, got) {
-            (Ok(expected), Ok(())) => {
-                prop_assert_eq!(&out[0], &canary, "{:?} must append", kind);
-                prop_assert_eq!(&out[1..], &expected[..], "{:?} disagrees with scalar", kind);
-            }
-            (Err(_), Err(_)) => {
-                // On error the output is rolled back to its prior length.
-                prop_assert_eq!(&out[..], &[canary][..], "{:?} left partial output", kind);
-            }
-            (oracle, got) => {
-                return Err(TestCaseError(format!(
-                    "{kind:?} accept/reject disagrees with scalar: oracle={:?} got={:?}",
-                    oracle.as_ref().map(|v| v.len()),
-                    got
-                )));
-            }
+    let canary = Posting { trace: TraceId(42), ts_a: 1, ts_b: 2 };
+    let mut out = vec![canary];
+    let got = decode_postings_v2_into(row, &mut out);
+    match (&oracle, got) {
+        (Ok(expected), Ok(())) => {
+            prop_assert_eq!(&out[0], &canary, "the kernel must append");
+            prop_assert_eq!(&out[1..], &expected[..], "kernel disagrees with scalar");
+        }
+        (Err(_), Err(_)) => {
+            // On error the output is rolled back to its prior length.
+            prop_assert_eq!(&out[..], &[canary][..], "kernel left partial output");
+        }
+        (oracle, got) => {
+            return Err(TestCaseError(format!(
+                "kernel accept/reject disagrees with scalar: oracle={:?} got={:?}",
+                oracle.as_ref().map(|v| v.len()),
+                got
+            )));
         }
     }
     Ok(())
@@ -76,27 +69,27 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
 
     #[test]
-    fn all_kinds_agree_on_encoder_output(postings in arb_postings()) {
-        assert_kinds_match_oracle(&encode_postings_v2(&postings))?;
+    fn kernel_agrees_on_encoder_output(postings in arb_postings()) {
+        assert_kernel_matches_oracle(&encode_postings_v2(&postings))?;
     }
 
     #[test]
-    fn all_kinds_agree_on_maximal_deltas(postings in arb_extreme_postings()) {
-        assert_kinds_match_oracle(&encode_postings_v2(&postings))?;
+    fn kernel_agrees_on_maximal_deltas(postings in arb_extreme_postings()) {
+        assert_kernel_matches_oracle(&encode_postings_v2(&postings))?;
     }
 
     #[test]
-    fn all_kinds_agree_on_truncated_rows(
+    fn kernel_agrees_on_truncated_rows(
         postings in arb_postings(),
         cut_ppm in 0u32..1_000_000,
     ) {
         let row = encode_postings_v2(&postings);
         let cut = (row.len() as u64 * cut_ppm as u64 / 1_000_000) as usize;
-        assert_kinds_match_oracle(&row[..cut])?;
+        assert_kernel_matches_oracle(&row[..cut])?;
     }
 
     #[test]
-    fn all_kinds_agree_on_bit_flipped_rows(
+    fn kernel_agrees_on_bit_flipped_rows(
         postings in arb_postings(),
         byte_ppm in 0u32..1_000_000,
         bit in 0u8..8,
@@ -106,12 +99,12 @@ proptest! {
             let idx = (row.len() as u64 * byte_ppm as u64 / 1_000_000) as usize % row.len();
             row[idx] ^= 1 << bit;
         }
-        assert_kinds_match_oracle(&row)?;
+        assert_kernel_matches_oracle(&row)?;
     }
 
     #[test]
-    fn all_kinds_agree_on_arbitrary_bytes(row in prop::collection::vec(0u8..=255, 0..512)) {
-        assert_kinds_match_oracle(&row)?;
+    fn kernel_agrees_on_arbitrary_bytes(row in prop::collection::vec(0u8..=255, 0..512)) {
+        assert_kernel_matches_oracle(&row)?;
     }
 }
 
@@ -119,7 +112,7 @@ proptest! {
 /// list, exact 4-lane remainders, the exact block boundary, and single
 /// postings with every extreme delta direction.
 #[test]
-fn pinned_shapes_agree_across_kinds() {
+fn pinned_shapes_agree_with_the_oracle() {
     let shapes: Vec<Vec<Posting>> = vec![
         vec![],
         mk(vec![(0, 0, 0)]),
@@ -141,12 +134,8 @@ fn pinned_shapes_agree_across_kinds() {
         let row = encode_postings_v2(&postings);
         let oracle = decode_postings_v2(&row).expect("encoder output decodes");
         assert_eq!(oracle, postings);
-        let mut scratch = DecodeScratch::new();
-        for kind in KINDS {
-            let mut out = Vec::new();
-            v2_decode_with_kind(kind, &row, &mut scratch, &mut out)
-                .unwrap_or_else(|e| panic!("{kind:?} rejected a valid row: {e}"));
-            assert_eq!(out, postings, "{kind:?} on {} postings", postings.len());
-        }
+        let mut out = Vec::new();
+        decode_postings_v2_into(&row, &mut out).expect("the kernel accepts a valid row");
+        assert_eq!(out, postings, "{} postings", postings.len());
     }
 }

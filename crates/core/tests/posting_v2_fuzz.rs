@@ -1,15 +1,12 @@
-//! Fuzz the v2 posting-block decoder: like `segment_fuzz` does for the
+//! Fuzz the posting-block decoders: like `segment_fuzz` does for the
 //! storage record parser, this feeds hostile bytes — garbage, truncated,
-//! bit-flipped — to every v2 entry point. The decoders run on bytes read
+//! bit-flipped — to every entry point. The decoders run on bytes read
 //! back from disk, so *any* input must produce a typed error (or a valid
-//! decode), never a panic, and the streaming cursor must never yield more
-//! than one error before terminating.
+//! decode), never a panic.
 
-use bytes::Bytes;
 use proptest::prelude::*;
-use seqdet_core::postings::{
-    decode_postings_v2, encode_postings_v2, validate_v2_row, PostingCursorV2, V2_TAG,
-};
+use seqdet_core::decode_postings_v2_into;
+use seqdet_core::postings::{decode_postings_v2, encode_postings_v2, validate_v2_row, V2_TAG};
 use seqdet_core::tables::Posting;
 use seqdet_log::TraceId;
 
@@ -17,82 +14,36 @@ fn postings(n: u32) -> Vec<Posting> {
     (0..n).map(|i| Posting { trace: TraceId(i / 2), ts_a: i as u64, ts_b: i as u64 + 3 }).collect()
 }
 
-/// Drain a cursor, counting decoded postings and errors; panics propagate.
-fn drain(mut c: PostingCursorV2) -> (usize, usize) {
-    let (mut ok, mut err) = (0, 0);
-    for r in &mut c {
-        match r {
-            Ok(_) => ok += 1,
-            Err(_) => err += 1,
-        }
-    }
-    (ok, err)
+/// Whole-row decode through the kernel the query path runs.
+fn decode(row: &[u8]) -> seqdet_core::Result<Vec<Posting>> {
+    let mut out = Vec::new();
+    decode_postings_v2_into(row, &mut out).map(|()| out)
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
-    /// Arbitrary bytes: both whole-row decoders classify without panicking,
-    /// and they agree on validity direction (validate is strictly stricter).
+    /// Arbitrary bytes: every whole-row decoder classifies without
+    /// panicking, and they agree on validity direction (validate is
+    /// strictly stricter).
     #[test]
     fn arbitrary_bytes_never_panic(row in prop::collection::vec(0u8..=255u8, 0..512)) {
-        let decoded = decode_postings_v2(&row);
+        let decoded = decode(&row);
+        let _ = decode_postings_v2(&row);
         let validated = validate_v2_row(&row);
         if validated.is_ok() {
             prop_assert!(decoded.is_ok(), "validate accepted a row decode rejects");
         }
     }
 
-    /// Arbitrary bytes biased toward the v2 tag (so parses get past the
-    /// header more often): still no panics, and the cursor yields at most
-    /// one error before terminating.
+    /// Arbitrary bytes biased toward the chunk tag (so parses get past the
+    /// header more often): still no panics.
     #[test]
     fn tagged_garbage_never_panics(mut row in prop::collection::vec(0u8..=255u8, 1..512)) {
         row[0] = V2_TAG;
+        let _ = decode(&row);
         let _ = decode_postings_v2(&row);
-        let (_, errs) = drain(PostingCursorV2::new(Bytes::from(row)));
-        prop_assert!(errs <= 1, "cursor yielded {errs} errors");
-    }
-
-    /// The streaming cursor classifies arbitrary bytes exactly like the
-    /// whole-row decoder: same postings on success, an error (after the
-    /// same valid prefix count or fewer) on failure.
-    #[test]
-    fn cursor_agrees_with_decoder_on_garbage(row in prop::collection::vec(0u8..=255u8, 0..512)) {
-        let (ok, errs) = drain(PostingCursorV2::new(Bytes::from(row.clone())));
-        match decode_postings_v2(&row) {
-            Ok(list) => {
-                // The decoder cross-checks directory first/max keys *after*
-                // decoding a block; the cursor checks them lazily, so the
-                // cursor can only accept more than the decoder, never fewer.
-                prop_assert!(errs <= 1);
-                if errs == 0 {
-                    prop_assert_eq!(ok, list.len());
-                }
-            }
-            Err(_) => prop_assert!(errs <= 1),
-        }
-    }
-
-    /// seek() with arbitrary keys over arbitrary bytes: no panics, no
-    /// over-reads (a slice overrun would panic), and after a seek returns
-    /// None or Err the cursor stays terminated.
-    #[test]
-    fn seek_over_garbage_never_panics(
-        row in prop::collection::vec(0u8..=255u8, 0..512),
-        keys in prop::collection::vec(0u32..=u32::MAX, 1..5),
-    ) {
-        let mut c = PostingCursorV2::new(Bytes::from(row));
-        for &k in &keys {
-            match c.seek(TraceId(k)) {
-                Some(Err(_)) => {
-                    prop_assert!(c.next().is_none(), "cursor kept going after a seek error");
-                    return Ok(());
-                }
-                Some(Ok(p)) => prop_assert!(p.trace.0 >= k),
-                None => {}
-            }
-        }
+        let _ = validate_v2_row(&row);
     }
 
     /// Truncating a valid row anywhere is safe: a cut on a chunk boundary
@@ -105,14 +56,14 @@ proptest! {
         let whole = postings(n);
         let row = encode_postings_v2(&whole);
         let cut = (row.len() as u64 * cut_ppm as u64 / 1_000_000) as usize;
-        if let Ok(list) = decode_postings_v2(&row[..cut]) {
+        if let Ok(list) = decode(&row[..cut]) {
             prop_assert!(cut == 0 || cut == row.len(), "mid-chunk cut decoded Ok");
             prop_assert_eq!(&list[..], &whole[..list.len()]);
         }
     }
 
     /// Single bit flips anywhere in a valid row never panic, through every
-    /// entry point; the cursor still terminates after at most one error.
+    /// entry point.
     #[test]
     fn bit_flips_never_panic(
         n in 1u32..300,
@@ -122,11 +73,8 @@ proptest! {
         let mut row = encode_postings_v2(&postings(n));
         let idx = (row.len() as u64 * byte_ppm as u64 / 1_000_000) as usize % row.len();
         row[idx] ^= 1 << bit;
+        let _ = decode(&row);
         let _ = decode_postings_v2(&row);
         let _ = validate_v2_row(&row);
-        let (_, errs) = drain(PostingCursorV2::new(Bytes::from(row.clone())));
-        prop_assert!(errs <= 1);
-        let mut c = PostingCursorV2::new(Bytes::from(row));
-        let _ = c.seek(TraceId(n / 2));
     }
 }

@@ -1,21 +1,23 @@
-//! Differential property suite for the v2 posting codec.
+//! Differential property suite for the posting codec.
 //!
-//! The v1 codec (`tables::decode_postings`) is the reference oracle: for
-//! *any* posting list — empty, single-block, multi-chunk, duplicate
-//! trace-ids, unsorted, extreme timestamps — encoding with
-//! [`encode_postings_v2`] and decoding with [`decode_postings_v2`] must
-//! produce exactly what the v1 decoder produces for the v1 encoding of the
-//! same list. On top of the roundtrip, [`PostingCursorV2::seek`] is pinned
-//! to its contract: from a fresh cursor, `seek(t)` lands on exactly the
-//! first posting in stored order with `trace >= t`, without consuming it.
+//! The fixed-width codec (`tables::decode_postings`) is the reference
+//! oracle: for *any* posting list — empty, single-block, multi-chunk,
+//! duplicate trace-ids, unsorted, extreme timestamps — encoding with
+//! [`encode_postings_v2`] and decoding with the kernel
+//! ([`decode_postings_v2_into`]) must produce exactly what the fixed-width
+//! decoder produces for the fixed-width encoding of the same list.
 
-use bytes::Bytes;
 use proptest::prelude::*;
-use seqdet_core::postings::{
-    decode_postings_v2, encode_postings_v2, validate_v2_row, PostingCursorV2,
-};
+use seqdet_core::decode_postings_v2_into;
+use seqdet_core::postings::{encode_postings_v2, validate_v2_row};
 use seqdet_core::tables::{decode_postings, encode_postings, Posting};
 use seqdet_log::TraceId;
+
+/// Whole-row decode through the kernel the query path runs.
+fn decode(row: &[u8]) -> seqdet_core::Result<Vec<Posting>> {
+    let mut out = Vec::new();
+    decode_postings_v2_into(row, &mut out).map(|()| out)
+}
 
 /// Arbitrary posting lists: small trace universe (forces duplicates),
 /// arbitrary u64 timestamps (including ts_b < ts_a), lengths spanning
@@ -43,7 +45,7 @@ proptest! {
     #[test]
     fn v2_roundtrip_equals_v1_oracle(postings in arb_postings()) {
         let v2 = encode_postings_v2(&postings);
-        let decoded = decode_postings_v2(&v2).unwrap();
+        let decoded = decode(&v2).unwrap();
         let oracle = decode_postings(&v1_row(&postings)).unwrap();
         prop_assert_eq!(decoded, oracle);
     }
@@ -61,7 +63,7 @@ proptest! {
             row.extend_from_slice(&encode_postings_v2(chunk));
             whole.extend_from_slice(chunk);
         }
-        let decoded = decode_postings_v2(&row).unwrap();
+        let decoded = decode(&row).unwrap();
         let oracle = decode_postings(&v1_row(&whole)).unwrap();
         prop_assert_eq!(decoded, oracle);
     }
@@ -74,57 +76,6 @@ proptest! {
         postings.sort_by_key(|p| p.trace);
         let row = encode_postings_v2(&postings);
         let validated = validate_v2_row(&row).expect("indexer-shaped rows validate");
-        prop_assert_eq!(validated, decode_postings_v2(&row).unwrap());
-    }
-
-    /// From a fresh cursor, `seek(t)` yields exactly the first posting in
-    /// stored order with `trace >= t` (or None), and the following `next()`
-    /// re-yields it — seek positions, it does not consume.
-    #[test]
-    fn seek_lands_on_first_posting_at_or_after_key(
-        postings in arb_postings(),
-        key in 0u32..400,
-    ) {
-        let row = Bytes::from(encode_postings_v2(&postings));
-        let mut c = PostingCursorV2::new(row);
-        let want = postings.iter().find(|p| p.trace.0 >= key).copied();
-        match c.seek(TraceId(key)) {
-            Some(got) => {
-                let got = got.unwrap();
-                prop_assert_eq!(Some(got), want);
-                prop_assert_eq!(c.next().map(|r| r.unwrap()), want);
-            }
-            None => prop_assert_eq!(want, None),
-        }
-    }
-
-    /// Interleaving seeks with iteration never yields a posting out of
-    /// stored order and never rewinds: a full drain after any seek sequence
-    /// is a suffix of the stored list.
-    #[test]
-    fn seeks_never_rewind(
-        postings in arb_postings(),
-        keys in prop::collection::vec(0u32..400, 1..6),
-    ) {
-        let row = Bytes::from(encode_postings_v2(&postings));
-        let mut c = PostingCursorV2::new(row);
-        for &k in &keys {
-            let _ = c.seek(TraceId(k));
-        }
-        let rest: Vec<Posting> = c.map(|r| r.unwrap()).collect();
-        prop_assert!(
-            rest.len() <= postings.len()
-                && rest == postings[postings.len() - rest.len()..],
-            "drain after seeks is not a suffix of the stored list"
-        );
-    }
-
-    /// The cursor and the whole-row decoder agree posting-for-posting.
-    #[test]
-    fn cursor_drain_equals_decode(postings in arb_postings()) {
-        let row = encode_postings_v2(&postings);
-        let drained: Vec<Posting> =
-            PostingCursorV2::new(Bytes::from(row.clone())).map(|r| r.unwrap()).collect();
-        prop_assert_eq!(drained, decode_postings_v2(&row).unwrap());
+        prop_assert_eq!(validated, decode(&row).unwrap());
     }
 }

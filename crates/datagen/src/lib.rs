@@ -22,6 +22,8 @@
 //!
 //! All generators are deterministic given a seed.
 
+#![forbid(unsafe_code)]
+
 pub mod noise;
 pub mod patterns;
 pub mod process;

@@ -8,6 +8,8 @@
 //! dynamic chunk scheduling, configurable from 1 thread (the paper's
 //! "1 Spark executor" runs in Table 6) to all cores.
 
+#![forbid(unsafe_code)]
+
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// A parallel executor with a fixed degree of parallelism.

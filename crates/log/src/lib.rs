@@ -24,6 +24,8 @@
 //! play the role of the timestamp" — the builders implement exactly that
 //! fallback via [`TraceBuilder::append_next`].
 
+#![forbid(unsafe_code)]
+
 pub mod csv;
 pub mod error;
 pub mod intern;

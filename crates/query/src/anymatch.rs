@@ -12,11 +12,10 @@
 //! a subsequence, and greedy STNM pairing finds at least one occurrence of
 //! any pair that exists — so intersecting the postings' trace sets yields a
 //! sound (and usually tight) candidate set without scanning the log. The
-//! trace sets are read through the query's [`ReadCtx`] (cache, then cursor),
+//! trace sets are read through the query's [`ReadCtx`] (cache, then decode),
 //! and the per-candidate DP + enumeration fans out across the executor —
 //! each trace's `Seq` row is independent.
 
-use crate::bitmap::CandidateJoin;
 use crate::detect::ReadCtx;
 use crate::Result;
 use seqdet_core::tables::read_seq;
@@ -121,47 +120,8 @@ pub(crate) fn detect_any_match<S: KvStore>(
     enumerate_limit: usize,
 ) -> Result<AnyMatchResult> {
     let acts = pattern.activities();
-    // Candidate traces: intersection over consecutive pairs. Two
-    // strategies produce the identical ascending set (differentially
-    // tested): the probe cascade retains candidates with a seek-based
-    // membership probe per posting list, while the bitmap path intersects
-    // the lists' compressed trace bitmaps container by container.
-    // `Auto` picks bitmaps only when the first list's bitmap is already
-    // cache-resident from an earlier query; a cold mid-query bitmap build
-    // measures slower than probing at every list size.
-    let mut pairs = pattern.consecutive_pairs();
-    let candidates: Vec<TraceId> = match pairs.next() {
-        None => Vec::new(),
-        Some((a, b)) => {
-            let first = ctx.postings(Activity::pair_key(a, b))?;
-            let use_bitmap = match ctx.candidate_join {
-                CandidateJoin::Probe => false,
-                CandidateJoin::Bitmap => true,
-                CandidateJoin::Auto => first.bitmap_if_built().is_some(),
-            };
-            if use_bitmap {
-                let mut acc = first.trace_bitmap().clone();
-                for (a, b) in pairs {
-                    if acc.is_empty() {
-                        break;
-                    }
-                    let list = ctx.postings(Activity::pair_key(a, b))?;
-                    acc = acc.intersect(list.trace_bitmap());
-                }
-                acc.iter().map(TraceId).collect()
-            } else {
-                let mut candidates: Vec<TraceId> = first.traces().collect();
-                for (a, b) in pairs {
-                    if candidates.is_empty() {
-                        break;
-                    }
-                    let list = ctx.postings(Activity::pair_key(a, b))?;
-                    candidates.retain(|&t| list.contains_trace(t));
-                }
-                candidates
-            }
-        }
-    };
+    // Candidate traces: intersection over consecutive pairs.
+    let candidates = ctx.traces_with_all(pattern.consecutive_pairs())?;
 
     // Per-candidate DP over the stored Seq row — independent per trace.
     let per_trace = ctx.executor.map(&candidates, |&trace| -> Result<Option<TraceAnyMatches>> {

@@ -1,15 +1,13 @@
 //! Per-worker decode and join scratch — the query path's answer to
-//! per-block/per-trace allocation churn.
+//! per-row/per-trace allocation churn.
 //!
 //! Every cold posting fetch used to materialize a fresh `Vec<Posting>` per
-//! decoded block, and every hash-join step built a fresh `ts_a → ts_b` map
+//! decoded row, and every hash-join step built a fresh `ts_a → ts_b` map
 //! per trace. Both buffers live here now, one set per worker thread:
 //!
-//! * [`with_decode_buffers`] hands out this thread's
-//!   [`DecodeScratch`] (the core decoder's delta lanes) plus a reusable
-//!   posting buffer. The buffers grow to the largest row the thread has
-//!   decoded and stay there, so a warm worker decodes rows with zero
-//!   allocation.
+//! * [`with_decode_buffer`] hands out this thread's reusable posting
+//!   buffer. It grows to the largest row the thread has decoded and stays
+//!   there, so a warm worker decodes rows with zero allocation.
 //! * [`with_join_map`] hands out this thread's cleared `ts_a → ts_b`
 //!   join map, reused across every trace a join step processes.
 //!
@@ -24,35 +22,25 @@
 //! temporaries rather than panicking on the `RefCell`.
 
 use seqdet_core::tables::Posting;
-use seqdet_core::DecodeScratch;
 use seqdet_log::Ts;
 use seqdet_storage::FxHashMap;
 use std::cell::RefCell;
 
-#[derive(Default)]
-struct DecodeArena {
-    scratch: DecodeScratch,
-    postings: Vec<Posting>,
-}
-
 thread_local! {
-    static DECODE: RefCell<DecodeArena> = RefCell::new(DecodeArena::default());
+    static DECODE: RefCell<Vec<Posting>> = const { RefCell::new(Vec::new()) };
     static JOIN: RefCell<FxHashMap<Ts, Ts>> = RefCell::new(FxHashMap::default());
 }
 
-/// Run `f` with this thread's decode scratch and a cleared reusable
-/// posting buffer. Nothing borrowed from the buffers may escape `f`.
-pub(crate) fn with_decode_buffers<R>(
-    f: impl FnOnce(&mut DecodeScratch, &mut Vec<Posting>) -> R,
-) -> R {
+/// Run `f` with this thread's cleared reusable posting buffer. Nothing
+/// borrowed from the buffer may escape `f`.
+pub(crate) fn with_decode_buffer<R>(f: impl FnOnce(&mut Vec<Posting>) -> R) -> R {
     DECODE.with(|cell| match cell.try_borrow_mut() {
-        Ok(mut arena) => {
-            arena.postings.clear();
-            let DecodeArena { scratch, postings } = &mut *arena;
-            f(scratch, postings)
+        Ok(mut postings) => {
+            postings.clear();
+            f(&mut postings)
         }
-        // Re-entrant use: fall back to temporaries instead of panicking.
-        Err(_) => f(&mut DecodeScratch::new(), &mut Vec::new()),
+        // Re-entrant use: fall back to a temporary instead of panicking.
+        Err(_) => f(&mut Vec::new()),
     })
 }
 
@@ -73,10 +61,10 @@ mod tests {
     use seqdet_log::TraceId;
 
     #[test]
-    fn decode_buffers_are_cleared_between_uses() {
+    fn decode_buffer_is_cleared_between_uses() {
         let p = Posting { trace: TraceId(1), ts_a: 2, ts_b: 3 };
-        with_decode_buffers(|_, buf| buf.push(p));
-        with_decode_buffers(|_, buf| assert!(buf.is_empty()));
+        with_decode_buffer(|buf| buf.push(p));
+        with_decode_buffer(|buf| assert!(buf.is_empty()));
     }
 
     #[test]
@@ -89,9 +77,9 @@ mod tests {
 
     #[test]
     fn reentrant_use_falls_back_to_temporaries() {
-        with_decode_buffers(|_, outer| {
+        with_decode_buffer(|outer| {
             outer.push(Posting { trace: TraceId(9), ts_a: 0, ts_b: 0 });
-            with_decode_buffers(|_, inner| {
+            with_decode_buffer(|inner| {
                 assert!(inner.is_empty(), "nested call must not see the outer buffer");
             });
             assert_eq!(outer.len(), 1);

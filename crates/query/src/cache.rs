@@ -7,9 +7,8 @@
 //! This cache keeps the postings of recently used `(table, pair)` rows
 //! **already decoded and trace-sorted** (a [`PostingList`]) — the exact
 //! shape the per-trace join seeks into — so a warm query skips the row
-//! fetch, the block decode and the re-sort entirely. Under the v2 posting
-//! format this is what "the cache stores decoded blocks" means: the varint
-//! blocks are expanded once on miss and never re-decoded on a hit.
+//! fetch, the block decode and the re-sort entirely: the varint blocks are
+//! expanded once on miss and never re-decoded on a hit.
 //!
 //! ## Consistency
 //!
@@ -29,36 +28,22 @@
 //! lookup misses silently and nothing is stored, which is also the
 //! cold-path configuration the benchmarks compare against.
 
-use crate::bitmap::TraceBitmap;
 use parking_lot::Mutex;
-use seqdet_core::{PairKey, PostingFormat};
+use seqdet_core::PairKey;
 use seqdet_log::{TraceId, Ts};
 use seqdet_storage::{FxHashMap, StoreMetrics, TableId};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// Decoded postings of one `(table, pair)` row, stable-sorted by trace id
 /// (posting order preserved within a trace). The flat sorted layout lets the
 /// join find a trace's occurrences with a binary-search [`PostingList::seek`]
 /// instead of hashing every trace into a map, and it is the shape the cache
 /// stores: blocks are decoded once on miss, then every hit serves slices.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PostingList {
     postings: Vec<(TraceId, Ts, Ts)>,
-    /// Distinct-trace bitmap, built lazily by [`PostingList::trace_bitmap`]
-    /// and shared by every reader of a cached list.
-    bitmap: OnceLock<TraceBitmap>,
 }
-
-/// Equality is over the postings alone — whether the lazy bitmap has been
-/// materialized yet is not an observable property of the list.
-impl PartialEq for PostingList {
-    fn eq(&self, other: &Self) -> bool {
-        self.postings == other.postings
-    }
-}
-
-impl Eq for PostingList {}
 
 impl PostingList {
     /// Build a list from decoded postings, stable-sorting by trace id so
@@ -69,7 +54,7 @@ impl PostingList {
         if !postings.is_sorted_by_key(|p| p.0) {
             postings.sort_by_key(|p| p.0);
         }
-        PostingList { postings, bitmap: OnceLock::new() }
+        PostingList { postings }
     }
 
     /// Total postings across all traces.
@@ -87,9 +72,8 @@ impl PostingList {
         &self.postings
     }
 
-    /// Index of the first posting whose trace is `>= trace` — the decoded
-    /// counterpart of the storage cursors' `seek`, used by the joins for
-    /// next-match advancement.
+    /// Index of the first posting whose trace is `>= trace`, used by the
+    /// joins for next-match advancement.
     pub fn seek(&self, trace: TraceId) -> usize {
         self.postings.partition_point(|p| p.0 < trace)
     }
@@ -115,20 +99,6 @@ impl PostingList {
             i += self.postings[i..].partition_point(|p| p.0 == trace);
             Some(trace)
         })
-    }
-
-    /// The distinct-trace set as a compressed bitmap, built on first use
-    /// and cached for the list's lifetime — so a cache-resident list pays
-    /// the build once across every query that intersects it.
-    pub fn trace_bitmap(&self) -> &TraceBitmap {
-        self.bitmap.get_or_init(|| TraceBitmap::from_sorted_traces(self.traces().map(|t| t.0)))
-    }
-
-    /// The trace bitmap only if a previous query already built it — lets
-    /// the `Auto` join treat an intersection over cache-resident lists as
-    /// free without committing a cold query to the build cost.
-    pub fn bitmap_if_built(&self) -> Option<&TraceBitmap> {
-        self.bitmap.get()
     }
 
     /// Iterate `(trace, occurrences)` groups in ascending trace order.
@@ -164,14 +134,6 @@ pub struct CacheStats {
     pub hits: u64,
     /// Lookups that had to fall through to the store.
     pub misses: u64,
-    /// Hits attributed to v1 (fixed-width record) rows.
-    pub hits_v1: u64,
-    /// Hits attributed to v2 (block-compressed) rows.
-    pub hits_v2: u64,
-    /// Misses attributed to v1 rows.
-    pub misses_v1: u64,
-    /// Misses attributed to v2 rows.
-    pub misses_v2: u64,
     /// Entries displaced by the capacity bound.
     pub evictions: u64,
     /// Entries dropped because their generation was stale (including bulk
@@ -204,9 +166,6 @@ pub struct PostingCache {
     tick: AtomicU64,
     hits: AtomicU64,
     misses: AtomicU64,
-    /// Per-format attribution of `hits`/`misses`, indexed `[v1, v2]`.
-    hits_fmt: [AtomicU64; 2],
-    misses_fmt: [AtomicU64; 2],
     evictions: AtomicU64,
     invalidations: AtomicU64,
     /// Optional mirror into the store-level metrics sink, so cache behavior
@@ -231,8 +190,6 @@ impl PostingCache {
             tick: AtomicU64::new(0),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
-            hits_fmt: [AtomicU64::new(0), AtomicU64::new(0)],
-            misses_fmt: [AtomicU64::new(0), AtomicU64::new(0)],
             evictions: AtomicU64::new(0),
             invalidations: AtomicU64::new(0),
             metrics: None,
@@ -272,21 +229,10 @@ impl PostingCache {
     /// Look up the decoded postings of `(table, key)` as read under
     /// `generation`. A resident entry with a different generation is
     /// discarded (never served) and counts as an invalidation + miss.
-    /// `format` is the row format a miss would decode — it attributes the
-    /// hit/miss to a per-format counter (hot-format hit rates are the
-    /// observable the v1→v2 migration watches) and does not affect lookup.
-    pub fn get(
-        &self,
-        table: TableId,
-        key: PairKey,
-        generation: u64,
-        format: PostingFormat,
-    ) -> Option<Arc<PostingList>> {
+    pub fn get(&self, table: TableId, key: PairKey, generation: u64) -> Option<Arc<PostingList>> {
         if !self.is_enabled() {
             return None;
         }
-        let v2 = format == PostingFormat::V2;
-        let fmt = usize::from(v2);
         let mut shard = self.shard(table, key).lock();
         match shard.get_mut(&(table, key)) {
             Some(e) if e.generation == generation => {
@@ -294,10 +240,8 @@ impl PostingCache {
                 let postings = Arc::clone(&e.postings);
                 drop(shard);
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                self.hits_fmt[fmt].fetch_add(1, Ordering::Relaxed);
                 if let Some(m) = &self.metrics {
                     m.record_cache_hit();
-                    m.record_format_cache_hit(v2);
                 }
                 Some(postings)
             }
@@ -306,21 +250,17 @@ impl PostingCache {
                 drop(shard);
                 self.invalidations.fetch_add(1, Ordering::Relaxed);
                 self.misses.fetch_add(1, Ordering::Relaxed);
-                self.misses_fmt[fmt].fetch_add(1, Ordering::Relaxed);
                 if let Some(m) = &self.metrics {
                     m.record_cache_invalidation();
                     m.record_cache_miss();
-                    m.record_format_cache_miss(v2);
                 }
                 None
             }
             None => {
                 drop(shard);
                 self.misses.fetch_add(1, Ordering::Relaxed);
-                self.misses_fmt[fmt].fetch_add(1, Ordering::Relaxed);
                 if let Some(m) = &self.metrics {
                     m.record_cache_miss();
-                    m.record_format_cache_miss(v2);
                 }
                 None
             }
@@ -377,10 +317,6 @@ impl PostingCache {
         CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
-            hits_v1: self.hits_fmt[0].load(Ordering::Relaxed),
-            hits_v2: self.hits_fmt[1].load(Ordering::Relaxed),
-            misses_v1: self.misses_fmt[0].load(Ordering::Relaxed),
-            misses_v2: self.misses_fmt[1].load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
             invalidations: self.invalidations.load(Ordering::Relaxed),
             entries: self.len(),
@@ -427,9 +363,9 @@ mod tests {
     fn hit_after_insert_same_generation() {
         let c = PostingCache::new(64);
         let t = TableId(1);
-        assert!(c.get(t, 7, 0, PostingFormat::V1).is_none());
+        assert!(c.get(t, 7, 0).is_none());
         c.insert(t, 7, 0, grouped(1, &[(1, 2)]));
-        let g = c.get(t, 7, 0, PostingFormat::V1).expect("hit");
+        let g = c.get(t, 7, 0).expect("hit");
         assert_eq!(g.for_trace(TraceId(1)), &[(TraceId(1), 1, 2)]);
         let s = c.stats();
         assert_eq!((s.hits, s.misses, s.entries), (1, 1, 1));
@@ -441,12 +377,9 @@ mod tests {
         let c = PostingCache::new(64);
         let t = TableId(1);
         c.insert(t, 7, 0, grouped(1, &[(1, 2)]));
-        assert!(
-            c.get(t, 7, 1, PostingFormat::V1).is_none(),
-            "generation 1 must not see generation 0 postings"
-        );
+        assert!(c.get(t, 7, 1).is_none(), "generation 1 must not see generation 0 postings");
         // The stale entry is gone: a same-generation retry also misses.
-        assert!(c.get(t, 7, 0, PostingFormat::V1).is_none());
+        assert!(c.get(t, 7, 0).is_none());
         assert_eq!(c.stats().invalidations, 1);
     }
 
@@ -455,7 +388,7 @@ mod tests {
         let c = PostingCache::new(0);
         assert!(!c.is_enabled());
         c.insert(TableId(1), 7, 0, grouped(1, &[(1, 2)]));
-        assert!(c.get(TableId(1), 7, 0, PostingFormat::V1).is_none());
+        assert!(c.get(TableId(1), 7, 0).is_none());
         let s = c.stats();
         assert_eq!((s.hits, s.misses, s.entries), (0, 0, 0));
     }
@@ -478,8 +411,8 @@ mod tests {
         let other = other.expect("some key shares a shard");
         c.insert(t, base, 0, grouped(1, &[(1, 2)]));
         c.insert(t, other, 0, grouped(2, &[(3, 4)]));
-        assert!(c.get(t, base, 0, PostingFormat::V1).is_none(), "LRU entry evicted");
-        assert!(c.get(t, other, 0, PostingFormat::V1).is_some());
+        assert!(c.get(t, base, 0).is_none(), "LRU entry evicted");
+        assert!(c.get(t, other, 0).is_some());
         assert_eq!(c.stats().evictions, 1);
     }
 
@@ -501,38 +434,12 @@ mod tests {
         let mut c = PostingCache::new(64);
         c.set_metrics(Arc::clone(&metrics));
         let t = TableId(1);
-        c.get(t, 7, 0, PostingFormat::V1); // miss
+        c.get(t, 7, 0); // miss
         c.insert(t, 7, 0, grouped(1, &[(1, 2)]));
-        c.get(t, 7, 0, PostingFormat::V1); // hit
-        c.get(t, 7, 1, PostingFormat::V1); // stale → invalidation + miss
+        c.get(t, 7, 0); // hit
+        c.get(t, 7, 1); // stale → invalidation + miss
         assert_eq!(metrics.cache_hits(), 1);
         assert_eq!(metrics.cache_misses(), 2);
         assert_eq!(metrics.cache_invalidations(), 1);
-    }
-
-    #[test]
-    fn hits_and_misses_are_attributed_per_format() {
-        let metrics = Arc::new(StoreMetrics::new());
-        let mut c = PostingCache::new(64);
-        c.set_metrics(Arc::clone(&metrics));
-        let t = TableId(1);
-        c.get(t, 1, 0, PostingFormat::V1); // v1 miss
-        c.insert(t, 1, 0, grouped(1, &[(1, 2)]));
-        c.get(t, 1, 0, PostingFormat::V1); // v1 hit
-        c.get(t, 2, 0, PostingFormat::V2); // v2 miss
-        c.insert(t, 2, 0, grouped(2, &[(3, 4)]));
-        c.get(t, 2, 0, PostingFormat::V2); // v2 hit
-        c.get(t, 2, 0, PostingFormat::V2); // v2 hit
-        let s = c.stats();
-        assert_eq!((s.hits_v1, s.misses_v1), (1, 1));
-        assert_eq!((s.hits_v2, s.misses_v2), (2, 1));
-        // Per-format splits always sum to the totals.
-        assert_eq!(s.hits, s.hits_v1 + s.hits_v2);
-        assert_eq!(s.misses, s.misses_v1 + s.misses_v2);
-        // And the attribution is mirrored into the store metrics sink.
-        assert_eq!(metrics.cache_hits_v1(), 1);
-        assert_eq!(metrics.cache_hits_v2(), 2);
-        assert_eq!(metrics.cache_misses_v1(), 1);
-        assert_eq!(metrics.cache_misses_v2(), 1);
     }
 }

@@ -23,9 +23,8 @@
 //!
 //! Posting lists are fetched through a [`ReadCtx`]: per `(table, pair)` row
 //! the context first consults the generation-stamped [`PostingCache`], and
-//! only on a miss walks the stored row with the format-dispatching
-//! [`seqdet_core::postings::IndexPostingCursor`] (zero-copy v1 records or
-//! block-decoded v2), collecting the decoded postings into a trace-sorted
+//! only on a miss decodes the stored row with the core kernel
+//! ([`seqdet_core::decode_postings_v2_into`]) into a trace-sorted
 //! [`PostingList`]. Join steps then advance to each partial's trace with
 //! [`PostingList::for_trace`] — a binary-search `seek`, not a hash probe or
 //! scan. The per-trace join itself fans out across the context's
@@ -41,11 +40,9 @@
 //! * [`JoinStrategy::NestedLoop`] — the paper's literal pseudocode: for
 //!   every partial, scan the trace's posting list.
 
-use crate::bitmap::{CandidateJoin, TraceBitmap};
 use crate::cache::{PostingCache, PostingList};
 use crate::Result;
-use seqdet_core::postings::IndexPostingCursor;
-use seqdet_core::{PairKey, PostingFormat};
+use seqdet_core::PairKey;
 use seqdet_exec::Executor;
 use seqdet_log::{Activity, Pattern, TraceId, Ts};
 use seqdet_storage::{Coverage, KvStore, StoreMetrics, TableId};
@@ -136,13 +133,8 @@ pub(crate) struct ReadCtx<'a, S: KvStore> {
     pub tables: &'a [TableId],
     pub cache: Option<&'a PostingCache>,
     pub generation: u64,
-    /// Posting row format of the store (sticky per-store config); selects
-    /// the v1 record cursor or the v2 block cursor on a cache miss.
-    pub format: PostingFormat,
     pub metrics: Option<&'a StoreMetrics>,
     pub executor: Executor,
-    /// How multi-pattern candidate sets are intersected (bitmap vs probe).
-    pub candidate_join: CandidateJoin,
 }
 
 impl<'a, S: KvStore> ReadCtx<'a, S> {
@@ -155,10 +147,8 @@ impl<'a, S: KvStore> ReadCtx<'a, S> {
             tables,
             cache: None,
             generation: 0,
-            format: seqdet_core::posting_format(store),
             metrics: None,
             executor: Executor::sequential(),
-            candidate_join: CandidateJoin::default(),
         }
     }
 
@@ -181,9 +171,31 @@ impl<'a, S: KvStore> ReadCtx<'a, S> {
         Ok(Arc::new(PostingList::from_postings(merged)))
     }
 
+    /// Traces with at least one posting for *every* pair of `pairs`,
+    /// ascending: the first pair's trace set, then a probe cascade — each
+    /// further posting list retains the candidates it contains, by a
+    /// seek-based membership probe. The result is order-independent;
+    /// callers that know selectivities pass the rarest pair first.
+    pub fn traces_with_all(
+        &self,
+        pairs: impl IntoIterator<Item = (Activity, Activity)>,
+    ) -> Result<Vec<TraceId>> {
+        let mut pairs = pairs.into_iter();
+        let Some((a, b)) = pairs.next() else { return Ok(Vec::new()) };
+        let mut traces: Vec<TraceId> = self.postings(Activity::pair_key(a, b))?.traces().collect();
+        for (a, b) in pairs {
+            if traces.is_empty() {
+                break;
+            }
+            let list = self.postings(Activity::pair_key(a, b))?;
+            traces.retain(|&t| list.contains_trace(t));
+        }
+        Ok(traces)
+    }
+
     fn postings_one(&self, table: TableId, key: PairKey) -> Result<Arc<PostingList>> {
         if let Some(cache) = self.cache {
-            if let Some(list) = cache.get(table, key, self.generation, self.format) {
+            if let Some(list) = cache.get(table, key, self.generation) {
                 return Ok(list);
             }
         }
@@ -194,11 +206,9 @@ impl<'a, S: KvStore> ReadCtx<'a, S> {
         Ok(list)
     }
 
-    /// Miss path: decode the stored row into a trace-sorted list. v2 rows
-    /// go through the wide decode kernel
-    /// ([`seqdet_core::decode_postings_v2_into`]) with this worker's
-    /// thread-local scratch, so the only allocation is the escaping list
-    /// itself; v1 rows walk the zero-copy record cursor as before.
+    /// Miss path: decode the stored row into a trace-sorted list, through
+    /// the core kernel and this worker's reusable posting buffer, so the
+    /// only allocation is the escaping list itself.
     ///
     /// The row fetch goes through [`KvStore::get_checked`], which fuses
     /// the zone-map membership check into the read: a disk store prunes
@@ -206,35 +216,13 @@ impl<'a, S: KvStore> ReadCtx<'a, S> {
     /// fetches the row, and the resulting empty list is cached above like
     /// any other miss, so repeats don't re-consult the zone maps.
     fn load(&self, table: TableId, key: PairKey) -> Result<PostingList> {
-        if self.format == PostingFormat::V2 {
-            return self.load_v2(table, key);
-        }
         let Some(row) = self.store.get_checked(table, &seqdet_core::tables::pair_key_bytes(key))
         else {
             return Ok(PostingList::default());
         };
-        let row_len = row.len();
-        let mut postings = Vec::new();
-        for posting in IndexPostingCursor::over(self.format, row) {
-            let p = posting?;
-            postings.push((p.trace, p.ts_a, p.ts_b));
-        }
-        if let Some(m) = self.metrics {
-            m.record_cursor_decode(postings.len());
-            m.record_decoded_bytes(row_len);
-        }
-        Ok(PostingList::from_postings(postings))
-    }
-
-    /// v2 miss path: whole-row block decode through the per-worker arena.
-    fn load_v2(&self, table: TableId, key: PairKey) -> Result<PostingList> {
-        let Some(row) = self.store.get_checked(table, &seqdet_core::tables::pair_key_bytes(key))
-        else {
-            return Ok(PostingList::default());
-        };
-        crate::arena::with_decode_buffers(|scratch, buf| {
+        crate::arena::with_decode_buffer(|buf| {
             // xtask-lint: allow(decoder-boundary): this *is* ReadCtx's miss path — the cached, metered read path the rule directs callers to.
-            seqdet_core::decode_postings_v2_into(&row, scratch, buf)?;
+            seqdet_core::decode_postings_v2_into(&row, buf)?;
             if let Some(m) = self.metrics {
                 m.record_cursor_decode(buf.len());
                 m.record_decoded_bytes(row.len());
@@ -277,48 +265,16 @@ pub(crate) fn get_completions_within<S: KvStore>(
     let acts = pattern.activities();
 
     // Fetch every consecutive pair's postings up front (the join loop
-    // reads each exactly once anyway), so the candidate prefilter below
-    // can intersect their trace bitmaps without a second fetch.
+    // reads each exactly once anyway).
     let mut lists = Vec::with_capacity(p - 1);
     for i in 0..p - 1 {
         lists.push(ctx.postings(Activity::pair_key(acts[i], acts[i + 1]))?);
     }
     let first = &lists[0];
 
-    // Candidate prefilter: a trace missing from *any* pair's posting list
-    // can never complete the pattern, so with ≥ 2 join steps the bitmap
-    // intersection of all pair lists prunes doomed traces before any
-    // partials are built. Skipped when prefix by-products are requested —
-    // prefixes legitimately contain traces that die at a later step — and
-    // under `Probe` (the ablation baseline). `Auto` takes the bitmap path
-    // only when every list's bitmap is already built (cache-resident
-    // lists): the intersection is then pure reads. Building bitmaps
-    // mid-query measures slower than the probe cascade at every list size
-    // (cold 2.07 ms vs 1.54 ms on the reference workload), so cold `Auto`
-    // queries always probe.
-    let prefilter: Option<TraceBitmap> = if on_prefix.is_none()
-        && p > 2
-        && match ctx.candidate_join {
-            CandidateJoin::Probe => false,
-            CandidateJoin::Bitmap => true,
-            CandidateJoin::Auto => lists.iter().all(|l| l.bitmap_if_built().is_some()),
-        } {
-        let mut acc = first.trace_bitmap().clone();
-        for list in &lists[1..] {
-            if acc.is_empty() {
-                break;
-            }
-            acc = acc.intersect(list.trace_bitmap());
-        }
-        Some(acc)
-    } else {
-        None
-    };
-
     // previous ← Index.get(ev_1, ev_2), as per-trace partial matches.
     let mut partials: Partials = first
         .by_trace()
-        .filter(|(trace, _)| prefilter.as_ref().is_none_or(|f| f.contains(trace.0)))
         .filter_map(|(trace, occs)| {
             let parts: Vec<Vec<Ts>> = occs
                 .iter()

@@ -1,7 +1,6 @@
 //! The query-processor facade.
 
 use crate::anymatch::{self, AnyMatchResult};
-use crate::bitmap::CandidateJoin;
 use crate::cache::{CacheStats, PostingCache};
 use crate::continuation::{self, ContinuationMethod, Proposition};
 use crate::detect::{self, DetectResult, JoinStrategy, ReadCtx};
@@ -9,7 +8,7 @@ use crate::stats::{self, PatternStats};
 use crate::{richpat, QueryError, Result};
 use parking_lot::RwLock;
 use seqdet_core::indexer::active_index_tables;
-use seqdet_core::{index_generation, index_policy, posting_format, Catalog, Policy, PostingFormat};
+use seqdet_core::{check_posting_format, index_generation, index_policy, Catalog, Policy};
 use seqdet_exec::Executor;
 use seqdet_log::{Pattern, RichPattern};
 use seqdet_storage::{Coverage, KvStore, StoreMetrics, TableId};
@@ -18,11 +17,10 @@ use std::sync::Arc;
 /// Default bound on resident posting-cache entries.
 pub const DEFAULT_CACHE_CAPACITY: usize = 4096;
 
-/// Partition layout, posting format and catalog as of one index generation.
+/// Partition layout and catalog as of one index generation.
 struct Layout {
     generation: u64,
     tables: Vec<TableId>,
-    format: PostingFormat,
     catalog: Arc<Catalog>,
 }
 
@@ -31,7 +29,7 @@ struct Layout {
 ///
 /// The engine is read-only over the index. Posting lists are served through
 /// a sharded, generation-stamped [`PostingCache`] and decoded on miss with
-/// the zero-copy posting cursor; per-trace join work fans out across an
+/// the core decode kernel; per-trace join work fans out across an
 /// [`Executor`]. Before every query (and every [`QueryEngine::catalog`]
 /// read) the engine compares the store's [`index_generation`] against its
 /// snapshot and, on a change, reloads the partition layout *and the
@@ -45,40 +43,31 @@ pub struct QueryEngine<S: KvStore> {
     executor: Executor,
     metrics: Option<Arc<StoreMetrics>>,
     join: JoinStrategy,
-    candidate_join: CandidateJoin,
 }
 
 impl<S: KvStore> QueryEngine<S> {
     /// Open a query engine over an indexed store, with the default cache
     /// capacity ([`DEFAULT_CACHE_CAPACITY`]) and join parallelism (all
-    /// cores).
+    /// cores). A store in the legacy v1 posting format is refused here
+    /// ([`check_posting_format`]), not mid-query.
     pub fn new(store: Arc<S>) -> Result<Self> {
+        check_posting_format(store.as_ref())?;
         let catalog = Arc::new(Catalog::load(store.as_ref())?);
         let generation = index_generation(store.as_ref());
         let tables = active_index_tables(store.as_ref());
-        let format = posting_format(store.as_ref());
         Ok(Self {
             store,
-            layout: RwLock::new(Layout { generation, tables, format, catalog }),
+            layout: RwLock::new(Layout { generation, tables, catalog }),
             cache: PostingCache::new(DEFAULT_CACHE_CAPACITY),
             executor: Executor::default(),
             metrics: None,
             join: JoinStrategy::default(),
-            candidate_join: CandidateJoin::default(),
         })
     }
 
     /// Select the per-trace join strategy (ablation knob; default Hash).
     pub fn with_join(mut self, join: JoinStrategy) -> Self {
         self.join = join;
-        self
-    }
-
-    /// Select how multi-pattern candidate sets are intersected: bitmap,
-    /// probe cascade, or the selectivity-based default
-    /// ([`CandidateJoin::Auto`]). All three are bit-identical in results.
-    pub fn with_candidate_join(mut self, candidate_join: CandidateJoin) -> Self {
-        self.candidate_join = candidate_join;
         self
     }
 
@@ -156,10 +145,6 @@ impl<S: KvStore> QueryEngine<S> {
             self.cache.invalidate_all();
             layout.generation = generation;
             layout.tables = active_index_tables(self.store.as_ref());
-            // The posting format is sticky per store, but an engine opened
-            // over an empty store learns the indexer's choice on the first
-            // committed batch — re-read it with the rest of the layout.
-            layout.format = posting_format(self.store.as_ref());
             // Live catalog: names interned since the last load become
             // resolvable. On a decode failure the previous catalog stays in
             // place — queries degrade to unknown-activity errors instead of
@@ -173,30 +158,22 @@ impl<S: KvStore> QueryEngine<S> {
         }
     }
 
-    /// Current generation + partition layout + posting format, refreshed
-    /// from the store when the indexer has mutated the index since the last
-    /// query.
-    fn snapshot(&self) -> (u64, Vec<TableId>, PostingFormat) {
+    /// Current generation + partition layout, refreshed from the store
+    /// when the indexer has mutated the index since the last query.
+    fn snapshot(&self) -> (u64, Vec<TableId>) {
         self.refresh();
         let layout = self.layout.read();
-        (layout.generation, layout.tables.clone(), layout.format)
+        (layout.generation, layout.tables.clone())
     }
 
-    fn ctx<'a>(
-        &'a self,
-        generation: u64,
-        tables: &'a [TableId],
-        format: PostingFormat,
-    ) -> ReadCtx<'a, S> {
+    fn ctx<'a>(&'a self, generation: u64, tables: &'a [TableId]) -> ReadCtx<'a, S> {
         ReadCtx {
             store: self.store.as_ref(),
             tables,
             cache: Some(&self.cache),
             generation,
-            format,
             metrics: self.metrics.as_deref(),
             executor: self.executor,
-            candidate_join: self.candidate_join,
         }
     }
 
@@ -229,13 +206,8 @@ impl<S: KvStore> QueryEngine<S> {
             [] => Err(QueryError::PatternTooShort { required: 1, actual: 0 }),
             &[single] => detect::detect_single(self.store.as_ref(), single),
             _ => {
-                let (generation, tables, format) = self.snapshot();
-                detect::get_completions(
-                    &self.ctx(generation, &tables, format),
-                    pattern,
-                    self.join,
-                    None,
-                )
+                let (generation, tables) = self.snapshot();
+                detect::get_completions(&self.ctx(generation, &tables), pattern, self.join, None)
             }
         })?;
         result.coverage = coverage;
@@ -251,9 +223,9 @@ impl<S: KvStore> QueryEngine<S> {
             return Err(QueryError::PatternTooShort { required: 2, actual: pattern.len() });
         }
         let (mut result, coverage) = self.stamped(|| {
-            let (generation, tables, format) = self.snapshot();
+            let (generation, tables) = self.snapshot();
             detect::get_completions_within(
-                &self.ctx(generation, &tables, format),
+                &self.ctx(generation, &tables),
                 pattern,
                 self.join,
                 Some(window),
@@ -274,10 +246,10 @@ impl<S: KvStore> QueryEngine<S> {
             return Err(QueryError::PatternTooShort { required: 2, actual: pattern.len() });
         }
         let (mut prefixes, coverage) = self.stamped(|| {
-            let (generation, tables, format) = self.snapshot();
+            let (generation, tables) = self.snapshot();
             let mut prefixes = Vec::with_capacity(pattern.len() - 1);
             detect::get_completions(
-                &self.ctx(generation, &tables, format),
+                &self.ctx(generation, &tables),
                 pattern,
                 self.join,
                 Some(&mut prefixes),
@@ -312,24 +284,13 @@ impl<S: KvStore> QueryEngine<S> {
         }
         match method {
             ContinuationMethod::Accurate { max_gap } => {
-                let (generation, tables, format) = self.snapshot();
-                continuation::accurate(
-                    &self.ctx(generation, &tables, format),
-                    pattern,
-                    self.join,
-                    max_gap,
-                )
+                let (generation, tables) = self.snapshot();
+                continuation::accurate(&self.ctx(generation, &tables), pattern, self.join, max_gap)
             }
             ContinuationMethod::Fast => continuation::fast(self.store.as_ref(), pattern),
             ContinuationMethod::Hybrid { k, max_gap } => {
-                let (generation, tables, format) = self.snapshot();
-                continuation::hybrid(
-                    &self.ctx(generation, &tables, format),
-                    pattern,
-                    self.join,
-                    k,
-                    max_gap,
-                )
+                let (generation, tables) = self.snapshot();
+                continuation::hybrid(&self.ctx(generation, &tables), pattern, self.join, k, max_gap)
             }
         }
     }
@@ -340,8 +301,8 @@ impl<S: KvStore> QueryEngine<S> {
         if pattern.is_empty() {
             return Err(QueryError::PatternTooShort { required: 1, actual: 0 });
         }
-        let (generation, tables, format) = self.snapshot();
-        continuation::accurate_at(&self.ctx(generation, &tables, format), pattern, pos, self.join)
+        let (generation, tables) = self.snapshot();
+        continuation::accurate_at(&self.ctx(generation, &tables), pattern, pos, self.join)
     }
 
     /// Rich patterns assume skip-till semantics (anchors may be separated
@@ -370,8 +331,8 @@ impl<S: KvStore> QueryEngine<S> {
     ) -> Result<DetectResult> {
         self.check_rich_supported()?;
         let (mut result, coverage) = self.stamped(|| {
-            let (generation, tables, format) = self.snapshot();
-            richpat::detect_rich(&self.ctx(generation, &tables, format), pattern, within)
+            let (generation, tables) = self.snapshot();
+            richpat::detect_rich(&self.ctx(generation, &tables), pattern, within)
         })?;
         result.coverage = coverage;
         Ok(result)
@@ -390,9 +351,9 @@ impl<S: KvStore> QueryEngine<S> {
     ) -> Result<AnyMatchResult> {
         self.check_rich_supported()?;
         let (mut result, coverage) = self.stamped(|| {
-            let (generation, tables, format) = self.snapshot();
+            let (generation, tables) = self.snapshot();
             richpat::any_match_rich(
-                &self.ctx(generation, &tables, format),
+                &self.ctx(generation, &tables),
                 pattern,
                 within,
                 enumerate_limit,
@@ -413,12 +374,8 @@ impl<S: KvStore> QueryEngine<S> {
             return Err(QueryError::PatternTooShort { required: 2, actual: pattern.len() });
         }
         let (mut result, coverage) = self.stamped(|| {
-            let (generation, tables, format) = self.snapshot();
-            anymatch::detect_any_match(
-                &self.ctx(generation, &tables, format),
-                pattern,
-                enumerate_limit,
-            )
+            let (generation, tables) = self.snapshot();
+            anymatch::detect_any_match(&self.ctx(generation, &tables), pattern, enumerate_limit)
         })?;
         result.coverage = coverage;
         Ok(result)
@@ -590,7 +547,7 @@ mod tests {
         let p = e.pattern(&["A", "B", "C"]).unwrap();
 
         let cold = e.detect(&p).unwrap();
-        // Cold: both pairs miss and decode through the cursor.
+        // Cold: both pairs miss and decode.
         assert_eq!(metrics.cache_misses(), 2);
         assert_eq!(metrics.cache_hits(), 0);
         assert_eq!(metrics.cursor_decodes(), 20); // 10 postings per pair

@@ -25,18 +25,18 @@
 //! event inserted at an arbitrary pattern position
 //! ([`QueryEngine::continuations_at`]).
 //!
-//! All index-reading queries share one read path: posting rows are decoded
-//! through a format-dispatching cursor (zero-copy v1 records or
-//! block-compressed v2), collected into trace-sorted [`cache::PostingList`]s,
-//! and cached in a sharded generation-stamped LRU ([`PostingCache`]);
-//! per-trace join work runs on a worker pool. See [`cache`] and the "Query read path" section of
+//! All index-reading queries share one read path: block-compressed posting
+//! rows are decoded by the core kernel into trace-sorted
+//! [`cache::PostingList`]s and cached in a sharded generation-stamped LRU
+//! ([`PostingCache`]); per-trace join work runs on a worker pool. See [`cache`] and the "Query read path" section of
 //! `DESIGN.md` for the consistency model and tuning knobs
 //! ([`QueryEngine::with_cache_capacity`], [`QueryEngine::with_threads`],
 //! [`QueryEngine::with_metrics`]).
 
+#![forbid(unsafe_code)]
+
 pub mod anymatch;
 mod arena;
-pub mod bitmap;
 pub mod cache;
 pub mod continuation;
 pub mod detect;
@@ -47,7 +47,6 @@ pub mod richpat;
 pub mod stats;
 
 pub use anymatch::AnyMatchResult;
-pub use bitmap::{CandidateJoin, TraceBitmap};
 pub use cache::{CacheStats, PostingCache, PostingList};
 pub use continuation::{ContinuationMethod, Proposition};
 pub use detect::{DetectResult, JoinStrategy, PatternMatch};

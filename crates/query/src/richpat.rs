@@ -13,10 +13,9 @@
 //!    least one greedy STNM posting for it — so the intersection of the
 //!    skeleton's consecutive-pair posting lists is a sound candidate set,
 //!    exactly as in [`crate::anymatch`]. The Count table orders the
-//!    intersection by selectivity (rarest pair first), and the probe /
-//!    bitmap cascade follows the context's [`CandidateJoin`] — all
-//!    strategies produce the identical ascending set. A single-element
-//!    skeleton falls back to a `Seq` scan, like length-1 detection.
+//!    intersection by selectivity (rarest pair first) and a probe cascade
+//!    retains the traces every list contains. A single-element skeleton
+//!    falls back to a `Seq` scan, like length-1 detection.
 //! 2. **Per-trace verification.** Each candidate's stored `Seq` and `Attrs`
 //!    rows are decoded and a backtracking verifier NFA checks the full
 //!    semantics — Kleene absorption, forbidden zones, window, predicates —
@@ -29,7 +28,6 @@
 //! differential suite holds the two equal on random traces and patterns.
 
 use crate::anymatch::{AnyMatchResult, TraceAnyMatches};
-use crate::bitmap::CandidateJoin;
 use crate::detect::{DetectResult, PatternMatch, ReadCtx};
 use crate::Result;
 use seqdet_core::tables::{pair_count, read_attrs, read_seq};
@@ -105,35 +103,7 @@ fn candidates<S: KvStore>(ctx: &ReadCtx<'_, S>, pattern: &RichPattern) -> Result
     }
     ordered.sort_by_key(|&(total, _, _)| total);
 
-    let mut rest = ordered.iter();
-    let Some(&(_, a, b)) = rest.next() else { return Ok(Vec::new()) };
-    let first = ctx.postings(Activity::pair_key(a, b))?;
-    let use_bitmap = match ctx.candidate_join {
-        CandidateJoin::Probe => false,
-        CandidateJoin::Bitmap => true,
-        CandidateJoin::Auto => first.bitmap_if_built().is_some(),
-    };
-    if use_bitmap {
-        let mut acc = first.trace_bitmap().clone();
-        for &(_, a, b) in rest {
-            if acc.is_empty() {
-                break;
-            }
-            let list = ctx.postings(Activity::pair_key(a, b))?;
-            acc = acc.intersect(list.trace_bitmap());
-        }
-        Ok(acc.iter().map(TraceId).collect())
-    } else {
-        let mut cands: Vec<TraceId> = first.traces().collect();
-        for &(_, a, b) in rest {
-            if cands.is_empty() {
-                break;
-            }
-            let list = ctx.postings(Activity::pair_key(a, b))?;
-            cands.retain(|&t| list.contains_trace(t));
-        }
-        Ok(cands)
-    }
+    ctx.traces_with_all(ordered.into_iter().map(|(_, a, b)| (a, b)))
 }
 
 /// Length-1 skeleton fallback: the pair index cannot see single events, so
@@ -456,24 +426,17 @@ mod tests {
     }
 
     #[test]
-    fn probe_and_bitmap_candidates_agree() {
+    fn multi_pair_skeleton_intersects_candidates() {
         let ix = indexed();
         let store = ix.store();
         let tables = seqdet_core::indexer::active_index_tables(store.as_ref());
+        let ctx = ReadCtx::plain(store.as_ref(), &tables);
         let p = RichPattern::new(vec![
             elem(&ix, "A", false, false),
             elem(&ix, "B", false, true),
             elem(&ix, "D", false, false),
         ])
         .unwrap();
-        let mut results = Vec::new();
-        for join in [CandidateJoin::Probe, CandidateJoin::Bitmap, CandidateJoin::Auto] {
-            let mut ctx = ReadCtx::plain(store.as_ref(), &tables);
-            ctx.candidate_join = join;
-            results.push(detect_rich(&ctx, &p, None).unwrap());
-        }
-        assert_eq!(results[0], results[1]);
-        assert_eq!(results[1], results[2]);
-        assert_eq!(results[0].total_completions(), 2);
+        assert_eq!(detect_rich(&ctx, &p, None).unwrap().total_completions(), 2);
     }
 }

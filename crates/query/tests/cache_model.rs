@@ -28,7 +28,6 @@
 //! order (generation bumped before the rows are written) is caught, and
 //! caught specifically on a cache-hit path.
 
-use seqdet_core::PostingFormat;
 use seqdet_log::TraceId;
 use seqdet_query::{PostingCache, PostingList};
 use seqdet_storage::TableId;
@@ -103,7 +102,7 @@ impl Reader {
                 self.snapshot = world.gen;
                 self.phase = 1;
             }
-            1 => match world.cache.get(TABLE, KEY, self.snapshot, PostingFormat::V1) {
+            1 => match world.cache.get(TABLE, KEY, self.snapshot) {
                 Some(g) => {
                     self.result = ReaderResult {
                         snapshot: self.snapshot,

@@ -48,6 +48,8 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod conn;
 pub mod http;
 pub mod pool;

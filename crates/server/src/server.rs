@@ -285,7 +285,6 @@ pub(crate) fn route<S: KvStore>(
                 format!(
                     "hits: {}\nmisses: {}\nhit_rate: {:.3}\nevictions: {}\n\
                      invalidations: {}\nentries: {}\ncapacity: {}\n\
-                     hits_v1: {}\nhits_v2: {}\nmisses_v1: {}\nmisses_v2: {}\n\
                      decoded_bytes: {}\n",
                     s.hits,
                     s.misses,
@@ -294,10 +293,6 @@ pub(crate) fn route<S: KvStore>(
                     s.invalidations,
                     s.entries,
                     s.capacity,
-                    s.hits_v1,
-                    s.hits_v2,
-                    s.misses_v1,
-                    s.misses_v2,
                     metrics.decoded_bytes()
                 ),
             )
@@ -451,9 +446,7 @@ mod tests {
         assert!(r.contains("hits: 1"), "{r}");
         assert!(r.contains("misses: 1"), "{r}");
         assert!(r.contains("entries: 1"), "{r}");
-        // Per-format attribution and decode volume ride along.
-        assert!(r.contains("hits_v1:"), "{r}");
-        assert!(r.contains("misses_v2:"), "{r}");
+        // Decode volume rides along.
         assert!(r.contains("decoded_bytes:"), "{r}");
     }
 

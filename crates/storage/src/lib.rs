@@ -25,6 +25,8 @@
 //! index tables, and [`fxhash`] a fast non-cryptographic hasher (we cannot
 //! depend on `rustc-hash`, so we carry the ~20-line algorithm ourselves).
 
+#![forbid(unsafe_code)]
+
 pub mod codec;
 pub mod crc;
 pub mod disk;

@@ -210,9 +210,9 @@ impl ServerMetrics {
 /// safe to call from any thread.
 ///
 /// Beyond the raw store round-trips, the query read path reports its
-/// decode/cache behaviour here as well: how many postings were walked
-/// zero-copy through a cursor, how many rows went through the slow
-/// `Vec`-materializing decoder, and how the query-side posting cache fared.
+/// decode/cache behaviour here as well: how many postings (and stored
+/// bytes) cache-miss reads decoded, and how the query-side posting cache
+/// fared.
 /// The serving layer adds its per-request counters under [`ServerMetrics`]
 /// (see [`StoreMetrics::server`]).
 #[derive(Debug, Default)]
@@ -224,13 +224,8 @@ pub struct StoreMetrics {
     bytes_read: AtomicU64,
     bytes_written: AtomicU64,
     cursor_decodes: AtomicU64,
-    slow_decodes: AtomicU64,
     cache_hits: AtomicU64,
     cache_misses: AtomicU64,
-    cache_hits_v1: AtomicU64,
-    cache_hits_v2: AtomicU64,
-    cache_misses_v1: AtomicU64,
-    cache_misses_v2: AtomicU64,
     cache_evictions: AtomicU64,
     cache_invalidations: AtomicU64,
     decoded_bytes: AtomicU64,
@@ -278,14 +273,9 @@ impl StoreMetrics {
         self.deletes.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Record `postings` records decoded zero-copy through a cursor.
+    /// Record `postings` postings decoded by a cache-miss read.
     pub fn record_cursor_decode(&self, postings: usize) {
         self.cursor_decodes.fetch_add(postings as u64, Ordering::Relaxed);
-    }
-
-    /// Record one row decoded through the slow `Vec`-materializing path.
-    pub fn record_slow_decode(&self) {
-        self.slow_decodes.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Record a posting-cache hit.
@@ -296,22 +286,6 @@ impl StoreMetrics {
     /// Record a posting-cache miss.
     pub fn record_cache_miss(&self) {
         self.cache_misses.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Attribute a posting-cache hit to a row format (`v2` selects the
-    /// block-compressed format, otherwise v1). Storage cannot see the core
-    /// crate's `PostingFormat` enum, so the split is a plain flag here; the
-    /// query-side cache records both the total and the attribution.
-    pub fn record_format_cache_hit(&self, v2: bool) {
-        let c = if v2 { &self.cache_hits_v2 } else { &self.cache_hits_v1 };
-        c.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Attribute a posting-cache miss to a row format (see
-    /// [`StoreMetrics::record_format_cache_hit`]).
-    pub fn record_format_cache_miss(&self, v2: bool) {
-        let c = if v2 { &self.cache_misses_v2 } else { &self.cache_misses_v1 };
-        c.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Record `bytes` of stored posting rows expanded into decoded postings
@@ -437,14 +411,9 @@ impl StoreMetrics {
         self.bytes_written.load(Ordering::Relaxed)
     }
 
-    /// Postings decoded zero-copy through a [`PostingCursor`]-style cursor.
+    /// Postings decoded by cache-miss reads.
     pub fn cursor_decodes(&self) -> u64 {
         self.cursor_decodes.load(Ordering::Relaxed)
-    }
-
-    /// Rows decoded through the slow `Vec`-materializing path.
-    pub fn slow_decodes(&self) -> u64 {
-        self.slow_decodes.load(Ordering::Relaxed)
     }
 
     /// Posting-cache hits.
@@ -455,26 +424,6 @@ impl StoreMetrics {
     /// Posting-cache misses.
     pub fn cache_misses(&self) -> u64 {
         self.cache_misses.load(Ordering::Relaxed)
-    }
-
-    /// Posting-cache hits attributed to v1 rows.
-    pub fn cache_hits_v1(&self) -> u64 {
-        self.cache_hits_v1.load(Ordering::Relaxed)
-    }
-
-    /// Posting-cache hits attributed to v2 (block-compressed) rows.
-    pub fn cache_hits_v2(&self) -> u64 {
-        self.cache_hits_v2.load(Ordering::Relaxed)
-    }
-
-    /// Posting-cache misses attributed to v1 rows.
-    pub fn cache_misses_v1(&self) -> u64 {
-        self.cache_misses_v1.load(Ordering::Relaxed)
-    }
-
-    /// Posting-cache misses attributed to v2 (block-compressed) rows.
-    pub fn cache_misses_v2(&self) -> u64 {
-        self.cache_misses_v2.load(Ordering::Relaxed)
     }
 
     /// Bytes of stored posting rows decoded by cache-miss reads.
@@ -587,13 +536,8 @@ impl StoreMetrics {
         self.bytes_read.store(0, Ordering::Relaxed);
         self.bytes_written.store(0, Ordering::Relaxed);
         self.cursor_decodes.store(0, Ordering::Relaxed);
-        self.slow_decodes.store(0, Ordering::Relaxed);
         self.cache_hits.store(0, Ordering::Relaxed);
         self.cache_misses.store(0, Ordering::Relaxed);
-        self.cache_hits_v1.store(0, Ordering::Relaxed);
-        self.cache_hits_v2.store(0, Ordering::Relaxed);
-        self.cache_misses_v1.store(0, Ordering::Relaxed);
-        self.cache_misses_v2.store(0, Ordering::Relaxed);
         self.cache_evictions.store(0, Ordering::Relaxed);
         self.cache_invalidations.store(0, Ordering::Relaxed);
         self.decoded_bytes.store(0, Ordering::Relaxed);
@@ -640,29 +584,13 @@ mod tests {
     }
 
     #[test]
-    fn per_format_cache_and_decode_counters() {
+    fn decoded_bytes_accumulate_and_reset() {
         let m = StoreMetrics::new();
-        m.record_format_cache_hit(false);
-        m.record_format_cache_hit(true);
-        m.record_format_cache_hit(true);
-        m.record_format_cache_miss(false);
-        m.record_format_cache_miss(true);
         m.record_decoded_bytes(100);
         m.record_decoded_bytes(28);
-        assert_eq!(m.cache_hits_v1(), 1);
-        assert_eq!(m.cache_hits_v2(), 2);
-        assert_eq!(m.cache_misses_v1(), 1);
-        assert_eq!(m.cache_misses_v2(), 1);
         assert_eq!(m.decoded_bytes(), 128);
         m.reset();
-        assert_eq!(
-            m.cache_hits_v1()
-                + m.cache_hits_v2()
-                + m.cache_misses_v1()
-                + m.cache_misses_v2()
-                + m.decoded_bytes(),
-            0
-        );
+        assert_eq!(m.decoded_bytes(), 0);
     }
 
     #[test]

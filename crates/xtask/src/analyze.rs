@@ -1,5 +1,5 @@
 //! The whole-program analyses over the call graph: panic-reachability,
-//! lock-order, error-taint, and the per-crate unsafe ratchet.
+//! lock-order and error-taint.
 //!
 //! ## Panic-reachability
 //!
@@ -39,8 +39,7 @@
 //!
 //! [`check`] diffs a report against the committed `analysis_baseline.json`:
 //! any finding not in the baseline fails, any baseline entry with an empty
-//! justification fails, stale entries warn, and a per-crate `unsafe` count
-//! above its recorded budget fails. [`updated_baseline`] regenerates the
+//! justification fails, and stale entries warn. [`updated_baseline`] regenerates the
 //! file, preserving written justifications and inserting empty ones (which
 //! keep failing until a human writes them) for new findings.
 
@@ -86,8 +85,6 @@ pub struct Stats {
 pub struct AnalysisReport {
     /// All findings, sorted by id.
     pub findings: Vec<Finding>,
-    /// Per-crate `unsafe` occurrence counts (for the ratchet).
-    pub unsafe_counts: BTreeMap<String, usize>,
     pub stats: Stats,
 }
 
@@ -150,19 +147,9 @@ pub fn analyze(ws: &Workspace) -> AnalysisReport {
     lock_order(ws, &edges, &mut findings, &mut stats);
     error_taint(ws, &mut findings);
 
-    // Per-crate unsafe counts for the ratchet (reuses the audit lint's
-    // counter; strings/comments masked, whole-word matches only).
-    let mut unsafe_counts: BTreeMap<String, usize> = BTreeMap::new();
-    for (file, source) in &ws.sources {
-        let crate_name = ws.file_crate.get(file).cloned().unwrap_or_default();
-        let (count, _) = lint::lint_unsafe(file, source);
-        *unsafe_counts.entry(crate_name).or_default() += count;
-    }
-    unsafe_counts.retain(|_, n| *n > 0);
-
     findings.sort_by(|a, b| a.id.cmp(&b.id));
     findings.dedup_by(|a, b| a.id == b.id);
-    AnalysisReport { findings, unsafe_counts, stats }
+    AnalysisReport { findings, stats }
 }
 
 /// Load the workspace at `root` and analyze it.
@@ -482,14 +469,11 @@ pub struct RatchetOutcome {
     pub unjustified: Vec<String>,
     /// Baseline ids no longer produced — warn (garbage-collect them).
     pub stale: Vec<String>,
-    /// (crate, actual, budget) where actual exceeds budget — fail. A crate
-    /// with `unsafe` but no recorded budget fails with budget 0.
-    pub over_budget: Vec<(String, usize, usize)>,
 }
 
 impl RatchetOutcome {
     pub fn ok(&self) -> bool {
-        self.new_findings.is_empty() && self.unjustified.is_empty() && self.over_budget.is_empty()
+        self.new_findings.is_empty() && self.unjustified.is_empty()
     }
 }
 
@@ -509,12 +493,6 @@ pub fn check(report: &AnalysisReport, baseline: &Baseline) -> RatchetOutcome {
             out.stale.push(id.clone());
         }
     }
-    for (crate_name, &count) in &report.unsafe_counts {
-        let budget = baseline.unsafe_budget.get(crate_name).copied().unwrap_or(0);
-        if count > budget {
-            out.over_budget.push((crate_name.clone(), count, budget));
-        }
-    }
     out
 }
 
@@ -527,7 +505,6 @@ pub fn updated_baseline(report: &AnalysisReport, old: &Baseline) -> Baseline {
         let just = old.findings.get(&f.id).cloned().unwrap_or_default();
         out.findings.insert(f.id.clone(), just);
     }
-    out.unsafe_budget = report.unsafe_counts.clone();
     out
 }
 
@@ -738,7 +715,7 @@ mod tests {
     }
 
     #[test]
-    fn ratchet_fails_new_and_unjustified_and_over_budget() {
+    fn ratchet_fails_new_and_unjustified() {
         let report = AnalysisReport {
             findings: vec![Finding {
                 id: "error-drop:f.rs:g:ok-drop#0".into(),
@@ -747,25 +724,22 @@ mod tests {
                 line: 1,
                 message: "m".into(),
             }],
-            unsafe_counts: [("core".to_owned(), 3)].into_iter().collect(),
             stats: Stats::default(),
         };
-        // Empty baseline: finding is new, unsafe unbudgeted.
+        // Empty baseline: finding is new.
         let empty = Baseline::default();
         let out = check(&report, &empty);
         assert!(!out.ok());
         assert_eq!(out.new_findings.len(), 1);
-        assert_eq!(out.over_budget, vec![("core".to_owned(), 3, 0)]);
 
         // Baselined without justification: still fails.
         let mut unjust = Baseline::default();
         unjust.findings.insert("error-drop:f.rs:g:ok-drop#0".into(), "".into());
-        unjust.unsafe_budget.insert("core".into(), 3);
         let out = check(&report, &unjust);
         assert!(!out.ok());
         assert_eq!(out.unjustified, vec!["error-drop:f.rs:g:ok-drop#0".to_owned()]);
 
-        // Justified + budgeted: clean, and a stale entry only warns.
+        // Justified: clean, and a stale entry only warns.
         let mut good = unjust.clone();
         good.findings.insert("error-drop:f.rs:g:ok-drop#0".into(), "best-effort fsync".into());
         good.findings.insert("panic-reach:gone.rs:h:unwrap".into(), "fixed long ago".into());
@@ -793,7 +767,6 @@ mod tests {
                     message: String::new(),
                 },
             ],
-            unsafe_counts: [("core".to_owned(), 2)].into_iter().collect(),
             stats: Stats::default(),
         };
         let mut old = Baseline::default();
@@ -803,6 +776,5 @@ mod tests {
         assert_eq!(new.findings.get("a").map(String::as_str), Some("kept"));
         assert_eq!(new.findings.get("b").map(String::as_str), Some(""));
         assert!(!new.findings.contains_key("gone"));
-        assert_eq!(new.unsafe_budget.get("core"), Some(&2));
     }
 }

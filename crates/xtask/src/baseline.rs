@@ -5,8 +5,7 @@
 //! so accepting a finding always costs a sentence of explanation in
 //! review. `cargo xtask analyze` fails on any finding not in the baseline
 //! (the ratchet only tightens) and warns on stale entries so fixed
-//! findings get garbage-collected. The same file budgets per-crate
-//! `unsafe` counts for the unsafe-audit ratchet.
+//! findings get garbage-collected.
 //!
 //! The workspace has no serde; the file format is a fixed JSON shape read
 //! and written by the minimal parser below:
@@ -17,19 +16,17 @@
 //!   "findings": [
 //!     { "id": "panic-reach:crates/x/src/a.rs:Type::fn:unwrap",
 //!       "justification": "why this is fine" }
-//!   ],
-//!   "unsafe_budget": { "seqdet-core": 2 }
+//!   ]
 //! }
 //! ```
 
 use std::collections::BTreeMap;
 use std::path::Path;
 
-/// Parsed baseline: finding id -> justification, crate -> unsafe budget.
+/// Parsed baseline: finding id -> justification.
 #[derive(Debug, Default, Clone)]
 pub struct Baseline {
     pub findings: BTreeMap<String, String>,
-    pub unsafe_budget: BTreeMap<String, usize>,
 }
 
 impl Baseline {
@@ -64,15 +61,6 @@ impl Baseline {
                 }
             }
         }
-        if let Some(ub) = obj.get("unsafe_budget") {
-            let m = ub.as_object().ok_or("\"unsafe_budget\" must be an object")?;
-            for (k, v) in m {
-                let n = v.as_num().filter(|n| *n >= 0.0 && n.fract() == 0.0).ok_or_else(|| {
-                    format!("unsafe budget for {k:?} must be a non-negative integer")
-                })?;
-                out.unsafe_budget.insert(k.clone(), n as usize);
-            }
-        }
         Ok(out)
     }
 
@@ -95,21 +83,7 @@ impl Baseline {
             s.push('\n');
             s.push_str("  ");
         }
-        s.push_str("],\n  \"unsafe_budget\": {");
-        let mut first = true;
-        for (k, v) in &self.unsafe_budget {
-            if !first {
-                s.push(',');
-            }
-            first = false;
-            s.push_str("\n    ");
-            json_string(&mut s, k);
-            s.push_str(&format!(": {v}"));
-        }
-        if !first {
-            s.push_str("\n  ");
-        }
-        s.push_str("}\n}\n");
+        s.push_str("]\n}\n");
         s
     }
 }
@@ -171,13 +145,6 @@ impl Json {
     pub fn as_str(&self) -> Option<&str> {
         match self {
             Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    pub fn as_num(&self) -> Option<f64> {
-        match self {
-            Json::Num(n) => Some(*n),
             _ => None,
         }
     }
@@ -360,11 +327,9 @@ mod tests {
         );
         b.findings
             .insert("error-drop:crates/y/src/b.rs:g:ok-drop#0".into(), "best-effort fsync".into());
-        b.unsafe_budget.insert("seqdet-core".into(), 2);
         let text = b.to_json();
         let parsed = Baseline::parse(&text).unwrap();
         assert_eq!(parsed.findings, b.findings);
-        assert_eq!(parsed.unsafe_budget, b.unsafe_budget);
     }
 
     #[test]
@@ -372,7 +337,6 @@ mod tests {
         let b = Baseline::default();
         let parsed = Baseline::parse(&b.to_json()).unwrap();
         assert!(parsed.findings.is_empty());
-        assert!(parsed.unsafe_budget.is_empty());
     }
 
     #[test]
@@ -396,14 +360,6 @@ mod tests {
         b.findings.insert("id with \"quotes\"".into(), "line one\nline two\ttabbed".into());
         let parsed = Baseline::parse(&b.to_json()).unwrap();
         assert_eq!(parsed.findings, b.findings);
-    }
-
-    #[test]
-    fn budget_must_be_integral() {
-        let text = r#"{ "unsafe_budget": { "c": 1.5 } }"#;
-        assert!(Baseline::parse(text).is_err());
-        let text = r#"{ "unsafe_budget": { "c": -1 } }"#;
-        assert!(Baseline::parse(text).is_err());
     }
 
     #[test]

@@ -12,12 +12,14 @@
 //! * [`graph`] — item/function extraction and the workspace call graph.
 //! * [`lint`] — file-scoped token lints (no-panic, decoder-boundary, …).
 //! * [`analyze`] — whole-program analyses over the call graph:
-//!   panic-reachability, lock-order, error-taint, unsafe ratchet.
+//!   panic-reachability, lock-order, error-taint.
 //! * [`baseline`] — the ratchet file (`analysis_baseline.json`) that pins
 //!   the accepted finding set, each entry with a written justification.
 //! * [`regressions`] — enforcement that every committed
 //!   `*.proptest-regressions` case is pinned as a deterministic replay
 //!   test (the vendored proptest cannot replay seed hashes).
+
+#![forbid(unsafe_code)]
 
 pub mod analyze;
 pub mod baseline;

@@ -3,16 +3,17 @@
 //! Four rules, each encoding a correctness contract the compiler cannot:
 //!
 //! * **no-panic** — `unwrap()` / `expect(` / `panic!(` are banned in the
-//!   non-test code of `server`, `query` and `storage`, plus the v2 posting
-//!   codec (`crates/core/src/postings.rs`): these sit on the request path,
+//!   non-test code of `server`, `query` and `storage`, plus the posting
+//!   codec (`crates/core/src/postings.rs`, `crates/core/src/decode.rs`):
+//!   these sit on the request path,
 //!   where a panic tears down a worker instead of returning a typed error —
 //!   and the codec additionally decodes untrusted bytes read back from
 //!   disk.
-//! * **decoder-boundary** — `decode_postings` may only be called inside
-//!   `crates/core` (and in test code, where the property-test oracle
-//!   compares it against the zero-copy cursor). Everything else must go
-//!   through `PostingCursor`/`ReadCtx`, which are the cached, metered,
-//!   zero-copy read path.
+//! * **decoder-boundary** — the `decode_postings*` decoders may only be
+//!   called inside `crates/core` (and in test code, where the property
+//!   suites compare them against each other). Everything else must go
+//!   through the query engine's `ReadCtx`, which is the cached, metered
+//!   read path.
 //! * **no-std-sync-lock** — `std::sync::Mutex`/`RwLock` are banned in the
 //!   query cache stripes, the exec worker code, and the server's
 //!   connection pool/handler: a poisoned or blocking std lock on those
@@ -24,13 +25,9 @@
 //!   property suite (`crates/core/tests/codec_roundtrip.rs`); a codec
 //!   without a registered roundtrip test can silently drift from its
 //!   encoder.
-//! * **unsafe-needs-safety-comment** — every `unsafe` occurrence in the
-//!   workspace must carry a `// SAFETY:` comment on the same line or in
-//!   the comment run directly above it. The workspace is almost entirely
-//!   safe code (the SIMD decode kernel is the sole exception), so each
-//!   site is individually audited and the total is reported with every
-//!   lint run — an unreviewed creep upward is itself a finding for a
-//!   human.
+//!
+//! There is no rule about `unsafe_code`: every workspace crate root carries
+//! `#![forbid(unsafe_code)]`, so the compiler holds that line.
 //!
 //! ## Escape hatch
 //!
@@ -73,8 +70,6 @@ impl fmt::Display for LintViolation {
 pub struct LintReport {
     /// Files scanned.
     pub files: usize,
-    /// Total `unsafe` occurrences across the workspace (commented or not).
-    pub unsafe_blocks: usize,
     /// All findings, in path/line order.
     pub violations: Vec<LintViolation>,
 }
@@ -98,9 +93,9 @@ fn no_panic_scope(rel: &str) -> bool {
     ["crates/server/src/", "crates/query/src/", "crates/storage/src/"]
         .iter()
         .any(|p| rel.starts_with(p))
-        // The v2 posting codec decodes untrusted on-disk bytes on the query
+        // The posting codec decodes untrusted on-disk bytes on the query
         // read path; a panic there tears down whichever worker hit the row.
-        // The wide decode kernel (`decode.rs`) parses the same bytes.
+        // The decode kernel (`decode.rs`) parses the same bytes.
         || rel == "crates/core/src/postings.rs"
         || rel == "crates/core/src/decode.rs"
 }
@@ -135,8 +130,8 @@ const TOKEN_RULES: &[TokenRule] = &[
         needles: &["decode_postings"],
         applies: decoder_scope,
         message: |_| {
-            "direct `decode_postings` call outside crates/core; read postings \
-             through PostingCursor / ReadCtx (cached, metered, zero-copy)"
+            "direct `decode_postings*` call outside crates/core; read postings \
+             through the query engine's ReadCtx (cached, metered)"
                 .to_owned()
         },
     },
@@ -244,73 +239,6 @@ pub fn lint_source(rel: &str, source: &str) -> Vec<LintViolation> {
     out
 }
 
-/// True when the `unsafe` at `line_idx` carries a `SAFETY:` comment — on
-/// the same line, or anywhere in the contiguous run of `//` comment lines
-/// directly above it (multi-line SAFETY justifications are the norm).
-fn safety_commented(lines: &[&str], line_idx: usize) -> bool {
-    if lines[line_idx].contains("SAFETY:") {
-        return true;
-    }
-    let mut i = line_idx;
-    while i > 0 {
-        i -= 1;
-        let t = lines[i].trim_start();
-        if !t.starts_with("//") {
-            return false;
-        }
-        if t.contains("SAFETY:") {
-            return true;
-        }
-    }
-    false
-}
-
-/// The unsafe audit: count every `unsafe` occurrence in real code (strings
-/// and comments are masked out) and report the ones without a `// SAFETY:`
-/// justification. Test code is *not* exempt — an unsound test block is
-/// still unsound. Returns `(occurrences, violations)`.
-pub fn lint_unsafe(rel: &str, source: &str) -> (usize, Vec<LintViolation>) {
-    let masked = mask_source(source);
-    let lines: Vec<&str> = source.lines().collect();
-    let mut line_starts = vec![0usize];
-    for (i, b) in masked.bytes().enumerate() {
-        if b == b'\n' {
-            line_starts.push(i + 1);
-        }
-    }
-    let line_of = |at: usize| line_starts.partition_point(|&s| s <= at) - 1;
-
-    let ident = |c: u8| c.is_ascii_alphanumeric() || c == b'_';
-    let bytes = masked.as_bytes();
-    let mut count = 0;
-    let mut out = Vec::new();
-    let mut from = 0;
-    while let Some(found) = masked[from..].find("unsafe") {
-        let at = from + found;
-        from = at + "unsafe".len();
-        // Whole-word match only (e.g. not `an_unsafe_name`).
-        let before_ok = at == 0 || !ident(bytes[at - 1]);
-        let after_ok = from >= bytes.len() || !ident(bytes[from]);
-        if !before_ok || !after_ok {
-            continue;
-        }
-        count += 1;
-        let line_idx = line_of(at);
-        if !safety_commented(&lines, line_idx) {
-            out.push(LintViolation {
-                file: rel.to_owned(),
-                line: line_idx + 1,
-                rule: "unsafe-needs-safety-comment",
-                message: "`unsafe` without a `// SAFETY:` comment on the same line or \
-                          in the comment run directly above; write down the proof \
-                          obligation the compiler cannot check"
-                    .to_owned(),
-            });
-        }
-    }
-    (count, out)
-}
-
 /// The codec-roundtrip-registered rule: workspace-level, not per-file.
 /// Every `pub fn decode_<name>` in the codec sources (`tables.rs` and
 /// `postings.rs`) must appear (with its `encode_` counterpart) in the
@@ -402,9 +330,6 @@ pub fn lint_workspace(root: &Path) -> std::io::Result<LintReport> {
             .to_string_lossy()
             .replace(std::path::MAIN_SEPARATOR, "/");
         report.violations.extend(lint_source(&rel, &source));
-        let (unsafe_count, unsafe_violations) = lint_unsafe(&rel, &source);
-        report.unsafe_blocks += unsafe_count;
-        report.violations.extend(unsafe_violations);
         report.files += 1;
     }
     let tables = std::fs::read_to_string(root.join("crates/core/src/tables.rs"))?;
@@ -452,8 +377,8 @@ mod tests {
     }
 
     #[test]
-    fn v2_posting_codec_is_inside_the_no_panic_scope() {
-        // The v2 block decoder parses untrusted on-disk bytes on the query
+    fn posting_codec_is_inside_the_no_panic_scope() {
+        // The block decoder parses untrusted on-disk bytes on the query
         // read path — it gets the same no-panic treatment as query/storage
         // even though the rest of core is exempt.
         let src = "fn f(x: Option<u32>) -> u32 { x.unwrap() }";
@@ -597,38 +522,6 @@ mod tests {
         let v = lint_codec_roundtrips(&[tables], None);
         assert_eq!(v.len(), 1);
         assert!(v[0].message.contains("missing"));
-    }
-
-    #[test]
-    fn unsafe_without_safety_comment_is_reported() {
-        let src = "fn f(p: *const u8) -> u8 { unsafe { *p } }";
-        let (count, v) = lint_unsafe("crates/core/src/decode.rs", src);
-        assert_eq!(count, 1);
-        assert_eq!(v.len(), 1, "{v:?}");
-        assert_eq!(v[0].rule, "unsafe-needs-safety-comment");
-        assert_eq!(v[0].line, 1);
-    }
-
-    #[test]
-    fn unsafe_with_safety_comment_counts_but_does_not_fire() {
-        let same = "fn f(p: *const u8) -> u8 { /* SAFETY: p is valid */ unsafe { *p } }";
-        let (count, v) = lint_unsafe("crates/core/src/decode.rs", same);
-        assert_eq!((count, v.len()), (1, 0), "{v:?}");
-        // Multi-line comment runs directly above the block qualify too.
-        let above = "fn f(p: *const u8) -> u8 {\n    // SAFETY: the caller handed us a\n    // live, aligned pointer.\n    unsafe { *p }\n}";
-        let (count, v) = lint_unsafe("crates/core/src/decode.rs", above);
-        assert_eq!((count, v.len()), (1, 0), "{v:?}");
-        // ...but an interrupted run does not.
-        let gap = "fn f(p: *const u8) -> u8 {\n    // SAFETY: stale.\n    let x = 1;\n    unsafe { *p }\n}";
-        let (count, v) = lint_unsafe("crates/core/src/decode.rs", gap);
-        assert_eq!((count, v.len()), (1, 1), "{v:?}");
-    }
-
-    #[test]
-    fn unsafe_in_strings_comments_and_identifiers_is_not_counted() {
-        let src = "fn f() { log(\"unsafe!\"); } // unsafe in prose\nfn an_unsafe_name() {}";
-        let (count, v) = lint_unsafe("crates/query/src/detect.rs", src);
-        assert_eq!((count, v.len()), (0, 0), "{v:?}");
     }
 
     #[test]

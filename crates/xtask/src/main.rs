@@ -8,6 +8,8 @@
 //! ([`seqdet_core::audit_disk`]). All exit nonzero on findings so CI can
 //! gate on them.
 
+#![forbid(unsafe_code)]
+
 use xtask::{analyze, baseline, lint, regressions};
 
 use std::path::PathBuf;
@@ -19,7 +21,7 @@ usage: cargo xtask <command>
 commands:
   lint    [--json] [--root DIR]     run the workspace invariant lints
   analyze [--json] [--root DIR]     call-graph analyses (panic-reachability,
-          [--baseline FILE]         lock-order, error-taint, unsafe ratchet)
+          [--baseline FILE]         lock-order, error-taint)
           [--update-baseline]       against the committed baseline
           [--report FILE]
   audit   --store DIR [--json]      audit a persisted index store
@@ -92,22 +94,16 @@ fn cmd_lint(args: &[String]) -> ExitCode {
                 v.message.replace('\\', "\\\\").replace('"', "\\\"")
             ));
         }
-        out.push_str(&format!(
-            "],\"files\":{},\"unsafe_blocks\":{},\"ok\":{}}}",
-            report.files,
-            report.unsafe_blocks,
-            report.ok()
-        ));
+        out.push_str(&format!("],\"files\":{},\"ok\":{}}}", report.files, report.ok()));
         println!("{out}");
     } else {
         for v in &report.violations {
             println!("{v}");
         }
         println!(
-            "lint: {} file(s) scanned, {} violation(s), {} unsafe block(s) audited",
+            "lint: {} file(s) scanned, {} violation(s)",
             report.files,
-            report.violations.len(),
-            report.unsafe_blocks
+            report.violations.len()
         );
     }
     if report.ok() {
@@ -191,12 +187,7 @@ fn cmd_analyze(args: &[String]) -> ExitCode {
             eprintln!("analyze: cannot write {}: {e}", baseline_path.display());
             return ExitCode::from(2);
         }
-        println!(
-            "analyze: wrote {} ({} finding(s), {} crate unsafe budget(s))",
-            baseline_path.display(),
-            new.findings.len(),
-            new.unsafe_budget.len()
-        );
+        println!("analyze: wrote {} ({} finding(s))", baseline_path.display(), new.findings.len());
         if !pending.is_empty() {
             println!(
                 "analyze: {} entr{} need a written justification before the run passes:",
@@ -240,9 +231,6 @@ fn render_analysis(report: &analyze::AnalysisReport, outcome: &analyze::RatchetO
          ({} ambiguous call(s) dropped), {} lock(s), {} nesting pair(s)",
         s.files, s.funcs, s.entry_points, s.call_edges, s.ambiguous_calls, s.locks, s.lock_pairs
     );
-    for (crate_name, count) in &report.unsafe_counts {
-        let _ = writeln!(out, "analyze: unsafe count {crate_name} = {count}");
-    }
     if !outcome.new_findings.is_empty() {
         let _ = writeln!(out, "\nNEW findings (not in baseline) — FAIL:");
         for f in &outcome.new_findings {
@@ -254,12 +242,6 @@ fn render_analysis(report: &analyze::AnalysisReport, outcome: &analyze::RatchetO
         let _ = writeln!(out, "\nbaseline entries without a written justification — FAIL:");
         for id in &outcome.unjustified {
             let _ = writeln!(out, "  {id}");
-        }
-    }
-    if !outcome.over_budget.is_empty() {
-        let _ = writeln!(out, "\nunsafe count above recorded budget — FAIL:");
-        for (c, actual, budget) in &outcome.over_budget {
-            let _ = writeln!(out, "  {c}: {actual} unsafe (budget {budget})");
         }
     }
     if !outcome.stale.is_empty() {
@@ -274,11 +256,10 @@ fn render_analysis(report: &analyze::AnalysisReport, outcome: &analyze::RatchetO
     }
     let _ = writeln!(
         out,
-        "analyze: {} finding(s) total, {} new, {} unjustified, {} over budget — {}",
+        "analyze: {} finding(s) total, {} new, {} unjustified — {}",
         report.findings.len(),
         outcome.new_findings.len(),
         outcome.unjustified.len(),
-        outcome.over_budget.len(),
         if outcome.ok() { "OK" } else { "FAIL" }
     );
     out
@@ -321,14 +302,7 @@ fn analysis_json(report: &analyze::AnalysisReport, outcome: &analyze::RatchetOut
         }
         out.push_str(&format!("\"{}\"", esc(id)));
     }
-    out.push_str("],\"unsafe_counts\":{");
-    for (i, (c, n)) in report.unsafe_counts.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!("\"{}\":{n}", esc(c)));
-    }
-    out.push_str(&format!("}},\"ok\":{}}}", outcome.ok()));
+    out.push_str(&format!("],\"ok\":{}}}", outcome.ok()));
     out
 }
 

@@ -109,19 +109,9 @@ fn stale_entries_warn_but_do_not_fail() {
     assert_eq!(outcome.stale.len(), 1);
 }
 
-#[test]
-fn unsafe_budget_ratchets_in_fixtures() {
-    // The fixtures contain no unsafe code; a zero budget passes and any
-    // recorded budget is trivially satisfied.
-    let r = report("clean");
-    assert!(r.unsafe_counts.values().all(|&n| n == 0));
-    let outcome = check(&r, &Baseline::default());
-    assert!(outcome.over_budget.is_empty());
-}
-
 /// The committed workspace baseline must stay in sync with the analyzer:
-/// running against the real repository root produces zero new findings,
-/// zero unjustified entries, and no over-budget unsafe counts.
+/// running against the real repository root produces zero new findings
+/// and zero unjustified entries.
 #[test]
 fn real_workspace_is_clean_against_committed_baseline() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).ancestors().nth(2).unwrap().to_path_buf();
@@ -130,9 +120,8 @@ fn real_workspace_is_clean_against_committed_baseline() {
     let outcome = check(&r, &base);
     assert!(
         outcome.ok(),
-        "workspace drifted from analysis_baseline.json: new={:?} unjustified={:?} over_budget={:?}",
+        "workspace drifted from analysis_baseline.json: new={:?} unjustified={:?}",
         outcome.new_findings.iter().map(|f| &f.id).collect::<Vec<_>>(),
-        outcome.unjustified,
-        outcome.over_budget
+        outcome.unjustified
     );
 }

@@ -31,6 +31,8 @@
 //! assert_eq!(matches.total_completions(), 2);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use seqdet_baselines as baselines;
 pub use seqdet_core as core;
 pub use seqdet_datagen as datagen;
@@ -42,7 +44,7 @@ pub use seqdet_storage as storage;
 
 /// One-stop imports for typical use.
 pub mod prelude {
-    pub use seqdet_core::{IndexConfig, Indexer, Policy, PostingFormat, StnmMethod};
+    pub use seqdet_core::{IndexConfig, Indexer, Policy, StnmMethod};
     pub use seqdet_log::{
         Activity, ActivityInterner, Event, EventLog, EventLogBuilder, Pattern, Trace, TraceBuilder,
         TraceId, Ts,

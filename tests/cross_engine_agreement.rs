@@ -12,48 +12,13 @@
 //!   under-approximation of "an embedding exists" (it requires chained
 //!   greedy pairs), so we assert soundness: every trace we report is also
 //!   reported by the scan engines.
-//!
-//! On top of the baseline oracles, every query here runs against **both
-//! posting formats**: a v1-indexed store (fixed 20-byte records) and a
-//! v2-indexed store (delta/varint blocks) must return bit-identical
-//! results — the format is a storage concern only and must never leak into
-//! query semantics. The v2 store additionally runs under both candidate
-//! join strategies (`Probe` seek cascades and `Bitmap` intersections),
-//! which likewise must be invisible in the results. The decode-kernel
-//! dimension (scalar vs branchless vs SIMD) is pinned by the core crate's
-//! differential suite and by the CI leg that re-runs these tests with
-//! `SEQDET_SCALAR_DECODE=1`.
 
 use proptest::prelude::*;
 use seqdet::prelude::*;
 use seqdet_baselines::{SaseEngine, SubtreeIndex, TextSearchIndex};
 use seqdet_log::{CmpOp, EventLog, Pattern, PatternElem, PredKey, Predicate, RichPattern, TraceId};
-use seqdet_query::{CandidateJoin, QueryEngine};
+use seqdet_query::QueryEngine;
 use seqdet_storage::MemStore;
-
-fn engine_with_format(
-    log: &EventLog,
-    policy: Policy,
-    format: PostingFormat,
-) -> QueryEngine<MemStore> {
-    let mut ix = Indexer::new(IndexConfig::new(policy).with_posting_format(format));
-    ix.index_log(log).expect("valid log");
-    QueryEngine::new(ix.store()).expect("indexed store")
-}
-
-/// One engine per posting format over identically indexed stores, plus the
-/// v2 store pinned to each candidate-join strategy (the default is `Auto`;
-/// neither forced choice may change any result).
-fn engines_for(log: &EventLog, policy: Policy) -> [QueryEngine<MemStore>; 4] {
-    [
-        engine_with_format(log, policy, PostingFormat::V1),
-        engine_with_format(log, policy, PostingFormat::V2),
-        engine_with_format(log, policy, PostingFormat::V2)
-            .with_candidate_join(CandidateJoin::Probe),
-        engine_with_format(log, policy, PostingFormat::V2)
-            .with_candidate_join(CandidateJoin::Bitmap),
-    ]
-}
 
 fn engine_for(log: &EventLog, policy: Policy) -> QueryEngine<MemStore> {
     let mut ix = Indexer::new(IndexConfig::new(policy));
@@ -128,14 +93,8 @@ proptest! {
     fn sc_detection_matches_all_baselines(traces in arb_traces(), pat in arb_pattern(5)) {
         let log = build_log(&traces);
         let Some(p) = pattern(&log, &pat) else { return Ok(()) };
-        let [ours_v1, ours, ours_probe, ours_bitmap] = engines_for(&log, Policy::StrictContiguity);
+        let ours = engine_for(&log, Policy::StrictContiguity);
         let our_result = ours.detect(&p).expect("detect runs");
-
-        // v1-indexed and v2-indexed stores answer bit-identically, under
-        // either candidate-join strategy.
-        prop_assert_eq!(&ours_v1.detect(&p).expect("detect runs"), &our_result);
-        prop_assert_eq!(&ours_probe.detect(&p).expect("detect runs"), &our_result);
-        prop_assert_eq!(&ours_bitmap.detect(&p).expect("detect runs"), &our_result);
 
         // SASE window scan: identical matches (trace + timestamps).
         let sase = SaseEngine::new(&log);
@@ -162,11 +121,8 @@ proptest! {
     fn stnm_pairs_match_sase_exactly(traces in arb_traces(), pat in arb_pattern(2)) {
         let log = build_log(&traces);
         let Some(p) = pattern(&log, &pat) else { return Ok(()) };
-        let [ours_v1, ours, ours_probe, ours_bitmap] = engines_for(&log, Policy::SkipTillNextMatch);
+        let ours = engine_for(&log, Policy::SkipTillNextMatch);
         let our_result = ours.detect(&p).expect("detect runs");
-        prop_assert_eq!(&ours_v1.detect(&p).expect("detect runs"), &our_result);
-        prop_assert_eq!(&ours_probe.detect(&p).expect("detect runs"), &our_result);
-        prop_assert_eq!(&ours_bitmap.detect(&p).expect("detect runs"), &our_result);
         let sase = SaseEngine::new(&log);
         let mut sase_matches: Vec<(TraceId, Vec<u64>)> =
             sase.detect_stnm(&p).into_iter().map(|m| (m.trace, m.timestamps)).collect();
@@ -181,11 +137,8 @@ proptest! {
     fn stnm_longer_patterns_are_sound(traces in arb_traces(), pat in arb_pattern(4)) {
         let log = build_log(&traces);
         let Some(p) = pattern(&log, &pat) else { return Ok(()) };
-        let [ours_v1, ours, ours_probe, ours_bitmap] = engines_for(&log, Policy::SkipTillNextMatch);
+        let ours = engine_for(&log, Policy::SkipTillNextMatch);
         let our_result = ours.detect(&p).expect("detect runs");
-        prop_assert_eq!(&ours_v1.detect(&p).expect("detect runs"), &our_result);
-        prop_assert_eq!(&ours_probe.detect(&p).expect("detect runs"), &our_result);
-        prop_assert_eq!(&ours_bitmap.detect(&p).expect("detect runs"), &our_result);
         let our_traces = our_result.traces();
 
         // Every trace we report embeds the pattern (ES-like verifies
@@ -207,12 +160,9 @@ proptest! {
     fn stam_counts_dominate_stnm(traces in arb_traces(), pat in arb_pattern(3)) {
         let log = build_log(&traces);
         let Some(p) = pattern(&log, &pat) else { return Ok(()) };
-        let [ours_v1, ours, ours_probe, ours_bitmap] = engines_for(&log, Policy::SkipTillNextMatch);
+        let ours = engine_for(&log, Policy::SkipTillNextMatch);
         let stnm = ours.detect(&p).expect("detect runs");
         let stam = ours.detect_any_match(&p, 4).expect("detect runs");
-        prop_assert_eq!(&ours_v1.detect_any_match(&p, 4).expect("detect runs"), &stam);
-        prop_assert_eq!(&ours_probe.detect_any_match(&p, 4).expect("detect runs"), &stam);
-        prop_assert_eq!(&ours_bitmap.detect_any_match(&p, 4).expect("detect runs"), &stam);
         prop_assert!(stam.total() >= stnm.total_completions() as u64);
         // Every STNM trace also has a STAM embedding.
         let stam_traces: Vec<TraceId> = stam.traces.iter().map(|t| t.trace).collect();
@@ -222,7 +172,7 @@ proptest! {
     }
 
     #[test]
-    fn rich_operators_agree_across_engine_configs(
+    fn rich_operators_match_the_scan_oracle(
         traces in arb_traces(),
         elems in arb_rich_elems(),
         within_raw in 0u64..12,
@@ -230,20 +180,11 @@ proptest! {
         let log = build_log(&traces);
         let Some(p) = rich_pattern(&log, &elems) else { return Ok(()) };
         let within = (within_raw > 0).then_some(within_raw);
-        let [v1, v2, v2_probe, v2_bitmap] = engines_for(&log, Policy::SkipTillNextMatch);
+        let ours = engine_for(&log, Policy::SkipTillNextMatch);
+        let detect = ours.detect_rich(&p, within).expect("detect runs");
+        let any = ours.detect_rich_any(&p, within, 3).expect("any-match runs");
 
-        // Posting format and candidate-join strategy must be invisible:
-        // all four configurations answer bit-identically.
-        let detect = v2.detect_rich(&p, within).expect("detect runs");
-        prop_assert_eq!(&v1.detect_rich(&p, within).expect("detect runs"), &detect);
-        prop_assert_eq!(&v2_probe.detect_rich(&p, within).expect("detect runs"), &detect);
-        prop_assert_eq!(&v2_bitmap.detect_rich(&p, within).expect("detect runs"), &detect);
-        let any = v2.detect_rich_any(&p, within, 3).expect("any-match runs");
-        prop_assert_eq!(&v1.detect_rich_any(&p, within, 3).expect("any-match runs"), &any);
-        prop_assert_eq!(&v2_probe.detect_rich_any(&p, within, 3).expect("any-match runs"), &any);
-        prop_assert_eq!(&v2_bitmap.detect_rich_any(&p, within, 3).expect("any-match runs"), &any);
-
-        // And the answers equal the scan oracle's, exactly.
+        // The answers equal the scan oracle's, exactly.
         let sase = SaseEngine::new(&log);
         let mut expected: Vec<(TraceId, Vec<u64>)> =
             sase.detect_rich(&p, within).into_iter().map(|m| (m.trace, m.timestamps)).collect();
@@ -260,48 +201,6 @@ proptest! {
         let got_any: Vec<(TraceId, u64, Vec<Vec<u64>>)> =
             any.traces.iter().map(|m| (m.trace, m.count, m.examples.clone())).collect();
         prop_assert_eq!(got_any, expected_any);
-    }
-
-    #[test]
-    fn continuation_and_stats_queries_agree_across_posting_formats(
-        traces in arb_traces(),
-        pat in arb_pattern(3),
-    ) {
-        let log = build_log(&traces);
-        let Some(p) = pattern(&log, &pat) else { return Ok(()) };
-        let [v1, v2, v2_probe, v2_bitmap] = engines_for(&log, Policy::SkipTillNextMatch);
-
-        for method in [
-            ContinuationMethod::Accurate { max_gap: None },
-            ContinuationMethod::Accurate { max_gap: Some(3) },
-            ContinuationMethod::Fast,
-            ContinuationMethod::Hybrid { k: 2, max_gap: None },
-        ] {
-            prop_assert_eq!(
-                v1.continuations(&p, method).expect("continuation runs"),
-                v2.continuations(&p, method).expect("continuation runs"),
-                "method {:?}",
-                method
-            );
-        }
-        prop_assert_eq!(
-            v1.stats(&p).expect("stats runs"),
-            v2.stats(&p).expect("stats runs")
-        );
-        prop_assert_eq!(
-            v1.stats_all_pairs(&p).expect("stats runs"),
-            v2.stats_all_pairs(&p).expect("stats runs")
-        );
-        // Windowed detection runs the bitmap prefilter; prefix collection
-        // suppresses it — both must be join-strategy-invariant.
-        let within = v1.detect_within(&p, 5).expect("detect runs");
-        prop_assert_eq!(&v2.detect_within(&p, 5).expect("detect runs"), &within);
-        prop_assert_eq!(&v2_probe.detect_within(&p, 5).expect("detect runs"), &within);
-        prop_assert_eq!(&v2_bitmap.detect_within(&p, 5).expect("detect runs"), &within);
-        let prefixes = v1.detect_prefixes(&p).expect("detect runs");
-        prop_assert_eq!(&v2.detect_prefixes(&p).expect("detect runs"), &prefixes);
-        prop_assert_eq!(&v2_probe.detect_prefixes(&p).expect("detect runs"), &prefixes);
-        prop_assert_eq!(&v2_bitmap.detect_prefixes(&p).expect("detect runs"), &prefixes);
     }
 }
 

@@ -8,7 +8,7 @@
 //! `seqdet_log::richpat` — so on random logs and random patterns they must
 //! agree *exactly*, on both `DETECT` (greedy non-overlapping canonical
 //! matches) and `ANY MATCH` (distinct-assignment counts plus the first
-//! `limit` examples), across both posting formats.
+//! `limit` examples).
 //!
 //! The vendored proptest has no regression persistence, so every
 //! counterexample class the generators have caught is additionally pinned
@@ -94,13 +94,10 @@ fn resolve(
     RichPattern::new(elems).ok()
 }
 
-fn stnm_engines(log: &EventLog) -> [QueryEngine<MemStore>; 2] {
-    [PostingFormat::V1, PostingFormat::V2].map(|format| {
-        let mut ix =
-            Indexer::new(IndexConfig::new(Policy::SkipTillNextMatch).with_posting_format(format));
-        ix.index_log(log).expect("valid log");
-        QueryEngine::new(ix.store()).expect("indexed store")
-    })
+fn stnm_engine(log: &EventLog) -> QueryEngine<MemStore> {
+    let mut ix = Indexer::new(IndexConfig::new(Policy::SkipTillNextMatch));
+    ix.index_log(log).expect("valid log");
+    QueryEngine::new(ix.store()).expect("indexed store")
 }
 
 fn arb_traces() -> impl Strategy<Value = Vec<TraceSpec>> {
@@ -135,20 +132,15 @@ proptest! {
             .collect();
         expected.sort();
 
-        let [v1, v2] = stnm_engines(&log);
-        for engine in [&v1, &v2] {
-            let catalog = engine.catalog();
-            let pat = resolve(&shape, |n| catalog.activity(n), |n| catalog.attr(n))
-                .expect("catalog covers the log");
-            let result = engine.detect_rich(&pat, within).expect("detect runs");
-            let mut got: Vec<(TraceId, Vec<Ts>)> = result
-                .matches
-                .iter()
-                .map(|m| (m.trace, m.timestamps.clone()))
-                .collect();
-            got.sort();
-            prop_assert_eq!(&got, &expected);
-        }
+        let engine = stnm_engine(&log);
+        let catalog = engine.catalog();
+        let pat = resolve(&shape, |n| catalog.activity(n), |n| catalog.attr(n))
+            .expect("catalog covers the log");
+        let result = engine.detect_rich(&pat, within).expect("detect runs");
+        let mut got: Vec<(TraceId, Vec<Ts>)> =
+            result.matches.iter().map(|m| (m.trace, m.timestamps.clone())).collect();
+        got.sort();
+        prop_assert_eq!(got, expected);
     }
 
     #[test]
@@ -170,19 +162,14 @@ proptest! {
             .map(|m| (m.trace, m.count, m.examples))
             .collect();
 
-        let [v1, v2] = stnm_engines(&log);
-        for engine in [&v1, &v2] {
-            let catalog = engine.catalog();
-            let pat = resolve(&shape, |n| catalog.activity(n), |n| catalog.attr(n))
-                .expect("catalog covers the log");
-            let result = engine.detect_rich_any(&pat, within, limit).expect("any-match runs");
-            let got: Vec<(TraceId, u64, Vec<Vec<Ts>>)> = result
-                .traces
-                .iter()
-                .map(|m| (m.trace, m.count, m.examples.clone()))
-                .collect();
-            prop_assert_eq!(&got, &expected, "limit {}", limit);
-        }
+        let engine = stnm_engine(&log);
+        let catalog = engine.catalog();
+        let pat = resolve(&shape, |n| catalog.activity(n), |n| catalog.attr(n))
+            .expect("catalog covers the log");
+        let result = engine.detect_rich_any(&pat, within, limit).expect("any-match runs");
+        let got: Vec<(TraceId, u64, Vec<Vec<Ts>>)> =
+            result.traces.iter().map(|m| (m.trace, m.count, m.examples.clone())).collect();
+        prop_assert_eq!(got, expected, "limit {}", limit);
     }
 }
 
@@ -190,7 +177,7 @@ proptest! {
 // Deterministic pins (vendored proptest persists no regressions).
 // ---------------------------------------------------------------------------
 
-/// Build, index (STNM, v2) and return the engine for a single trace.
+/// Build, index (STNM) and return the engine for a single trace.
 fn engine_of(events: &[(&str, u64)]) -> QueryEngine<MemStore> {
     let mut b = EventLogBuilder::new();
     for &(a, ts) in events {

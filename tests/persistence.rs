@@ -2,9 +2,11 @@
 //! and keeps answering queries identically.
 
 use seqdet::prelude::*;
+use seqdet_core::catalog::put_meta;
+use seqdet_core::CoreError;
 use seqdet_datagen::RandomLogSpec;
 use seqdet_log::Pattern;
-use seqdet_query::QueryEngine;
+use seqdet_query::{QueryEngine, QueryError};
 use seqdet_storage::{DiskStore, KvStore};
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -121,5 +123,45 @@ fn partitioned_disk_index_roundtrips() {
     let engine = QueryEngine::new(store).expect("catalog persisted");
     let p = engine.pattern(&["B", "A"]).expect("known");
     assert_eq!(engine.detect(&p).expect("detect runs").total_completions(), 24);
+    std::fs::remove_dir_all(&dir).expect("cleanup");
+}
+
+/// A store written in the retired v1 posting format — tagged `v1`, or
+/// indexed before the tag existed — is refused by every open path with the
+/// typed error that names the remedy, never a corrupt-row error mid-query.
+/// A never-indexed store still opens, and is created as v2.
+#[test]
+fn legacy_posting_format_is_refused_at_open() {
+    for (name, tag) in [("legacy-tagged", Some("v1")), ("legacy-keyless", None)] {
+        let dir = tmp_dir(name);
+        let store = Arc::new(DiskStore::open(&dir).expect("dir writable"));
+        put_meta(store.as_ref(), "config:policy", Policy::SkipTillNextMatch.name()).expect("put");
+        put_meta(store.as_ref(), "config:method", StnmMethod::Indexing.name()).expect("put");
+        if let Some(tag) = tag {
+            put_meta(store.as_ref(), "config:posting_format", tag).expect("put");
+        }
+        let refusals = [
+            Indexer::open(store.clone()).err().expect("refused"),
+            Indexer::with_store(store.clone(), IndexConfig::new(Policy::SkipTillNextMatch))
+                .err()
+                .expect("refused"),
+            match QueryEngine::new(store.clone()).err().expect("refused") {
+                QueryError::Core(e) => e,
+                other => panic!("{name}: expected a core error, got {other}"),
+            },
+        ];
+        for err in refusals {
+            assert!(matches!(err, CoreError::ConfigMismatch { .. }), "{name}: {err}");
+            assert!(err.to_string().contains("re-index from the source log"), "{name}: {err}");
+        }
+        std::fs::remove_dir_all(&dir).expect("cleanup");
+    }
+
+    let dir = tmp_dir("never-indexed");
+    let store = Arc::new(DiskStore::open(&dir).expect("dir writable"));
+    QueryEngine::new(store.clone()).expect("an empty store opens");
+    Indexer::with_store(store.clone(), IndexConfig::new(Policy::SkipTillNextMatch))
+        .expect("an empty store is created");
+    assert_eq!(seqdet_core::posting_format(store.as_ref()).name(), "v2");
     std::fs::remove_dir_all(&dir).expect("cleanup");
 }
