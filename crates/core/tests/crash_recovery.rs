@@ -5,10 +5,15 @@
 //! preamble — recover exactly the state of the last committed batch that
 //! fits under the cut. This is the end-to-end proof of the batch-framing
 //! contract: no torn five-table state is ever observable after recovery.
+//! The same sweep then runs over every operation that publishes a manifest
+//! (compaction, retention, repair): a cut lands on the old manifest or the
+//! new one, never on a mixture.
 
 use seqdet_core::{audit_store, IndexConfig, Indexer, Policy};
 use seqdet_log::{EventLog, EventLogBuilder};
-use seqdet_storage::{DiskOptions, DiskStore, FaultFs, KvStore, TableId};
+use seqdet_storage::{
+    DiskOptions, DiskStore, FaultFs, KvStore, RealFs, RowZones, TableId, ZoneExtractor,
+};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -226,6 +231,149 @@ fn recovery_from_a_crash_at_every_offset_during_compaction() {
     }
     let _ = std::fs::remove_dir_all(&ref_dir);
     let _ = std::fs::remove_dir_all(&crash_dir);
+}
+
+/// Zone extractor for the publish sweeps: every row of table `t` spans the
+/// timestamps `[100 t, 100 t + 50]`, so retention can tell tables apart.
+struct TsByTable;
+
+impl ZoneExtractor for TsByTable {
+    fn zones(&self, table: TableId, _: &[u8], _: &[u8]) -> Option<RowZones> {
+        let ts = u64::from(table.0) * 100;
+        Some(RowZones { trace_min: 1, trace_max: 9, ts_min: ts, ts_max: ts + 50 })
+    }
+}
+
+const OLD: TableId = TableId(1); // ts range [100, 150]
+const NEW: TableId = TableId(4); // ts range [400, 450]
+
+/// A store with one run per table and a delta on top — the state both
+/// sweeps below start from. With `damage`, the run of table `OLD` is then
+/// bit-rotted at rest and the store reopened, which quarantines it.
+fn tiered_store(dir: &Path, fs: &FaultFs, retain_segments: bool, damage: bool) -> DiskStore {
+    let open = || {
+        let options =
+            DiskOptions { vfs: Arc::new(fs.clone()), retain_segments, ..DiskOptions::default() };
+        let store = DiskStore::open_with(dir, options).expect("open");
+        store.set_zone_extractor(Arc::new(TsByTable));
+        store
+    };
+    let store = open();
+    store.put(OLD, b"old-a", b"1").expect("put");
+    store.append(OLD, b"old-b", b"xy").expect("append");
+    store.put(NEW, b"new-a", b"2").expect("put");
+    store.compact().expect("compact");
+    store.append(NEW, b"new-a", b"+delta").expect("append");
+    store.put(NEW, b"fresh", b"3").expect("put");
+    store.flush().expect("flush");
+    if !damage {
+        return store;
+    }
+    drop(store);
+    let run = std::fs::read_dir(dir)
+        .expect("read dir")
+        .map(|e| e.expect("entry").path())
+        .find(|p| p.to_string_lossy().ends_with("-t001.run"))
+        .expect("run file of table OLD");
+    let mut bytes = std::fs::read(&run).expect("read run");
+    let mid = bytes.len() / 2;
+    bytes[mid] ^= 0xFF;
+    std::fs::write(&run, bytes).expect("write run");
+    let store = open();
+    assert!(!store.coverage().is_full(), "damaged run must be quarantined");
+    store
+}
+
+/// Crash `op` — one operation that publishes a new manifest — after every
+/// byte it writes. Whatever the cut, the store must reopen on either the
+/// old manifest or the new one (`on_new` tells which from the reopened
+/// store), read exactly that manifest's model, and show no damage the
+/// workload did not start with.
+fn sweep_publish(
+    name: &str,
+    retain_segments: bool,
+    damage: bool,
+    op: impl Fn(&DiskStore) -> std::io::Result<()>,
+    on_new: impl Fn(&DiskStore) -> bool,
+) {
+    let ref_dir = tmp_dir(&format!("{name}-reference"));
+    let fs = FaultFs::new();
+    let store = tiered_store(&ref_dir, &fs, retain_segments, damage);
+    let old_model = snapshot(&store);
+    let start = fs.bytes_written();
+    op(&store).expect("reference operation");
+    let total = fs.bytes_written() - start;
+    let new_model = snapshot(&store);
+    assert!(total > 0, "the operation must write a manifest");
+    assert!(on_new(&store));
+    drop(store);
+
+    let crash_dir = tmp_dir(&format!("{name}-cut"));
+    let (mut landed_old, mut landed_new) = (0, 0);
+    for cut in 0..=total {
+        let _ = std::fs::remove_dir_all(&crash_dir);
+        let fs = FaultFs::new();
+        let store = tiered_store(&crash_dir, &fs, retain_segments, damage);
+        fs.arm_crash_after_bytes(cut);
+        let outcome = op(&store);
+        assert_eq!(outcome.is_ok(), cut == total, "cut at {cut}/{total}: {outcome:?}");
+        drop(store);
+
+        let options = DiskOptions { retain_segments, ..DiskOptions::default() };
+        let recovered = DiskStore::open_with(&crash_dir, options)
+            .unwrap_or_else(|e| panic!("reopen after cut at {cut} failed: {e}"));
+        assert!(recovered.degraded().is_none());
+        let published = on_new(&recovered);
+        let expected = if published { &new_model } else { &old_model };
+        assert_eq!(&snapshot(&recovered), expected, "cut at {cut}: published={published}");
+        let runs = seqdet_storage::verify_runs(&RealFs, &crash_dir)
+            .unwrap_or_else(|e| panic!("verify_runs after cut at {cut} failed: {e}"));
+        if damage && !published {
+            // Still on the old manifest: its one damaged run, nothing else.
+            assert_eq!(runs.violations.len(), 1, "cut at {cut}: {runs:?}");
+            assert_eq!(recovered.quarantine().len(), 1);
+        } else {
+            assert!(runs.ok(), "cut at {cut} left a damaged run tier: {runs:?}");
+            assert!(recovered.coverage().is_full());
+        }
+        *(if published { &mut landed_new } else { &mut landed_old }) += 1;
+    }
+    assert!(landed_old > 0 && landed_new > 0, "the sweep must see both manifests");
+    let _ = std::fs::remove_dir_all(&ref_dir);
+    let _ = std::fs::remove_dir_all(&crash_dir);
+}
+
+/// Retention publishes a manifest without the expired run: a cut lands on
+/// two runs and every row, or on one run and no row of the expired table.
+#[test]
+fn recovery_from_a_crash_at_every_offset_during_retention() {
+    sweep_publish(
+        "retention",
+        false,
+        false,
+        |store| store.drop_expired_runs(200).map(|dropped| assert_eq!(dropped, 1)),
+        |store| store.num_runs() == 1,
+    );
+}
+
+/// Repair rebuilds the tier and publishes it: a cut lands on the narrowed
+/// store (damaged run still quarantined) or on the repaired one — with the
+/// full segment history every row is back, without it the survivors are.
+#[test]
+fn recovery_from_a_crash_at_every_offset_during_repair() {
+    for (name, retain_segments) in [("repair-lossless", true), ("repair-lossy", false)] {
+        sweep_publish(
+            name,
+            retain_segments,
+            true,
+            |store| {
+                let outcome = store.repair()?;
+                assert_eq!((outcome.repaired, outcome.full_history), (1, retain_segments));
+                Ok(())
+            },
+            |store| store.coverage().is_full(),
+        );
+    }
 }
 
 #[test]

@@ -17,9 +17,10 @@
 //! * [`MemStore`] — sharded, lock-striped in-memory store (the default used
 //!   by benchmarks; shards bound contention during parallel indexing),
 //! * [`DiskStore`] — a log-structured persistent store: every mutation is
-//!   appended to a segment file, the full state is replayed on open, and
-//!   [`DiskStore::compact`] rewrites live data into a single snapshot
-//!   segment.
+//!   appended to a segment file ([`segment`]) and overlaid in memory
+//!   ([`delta`]); [`DiskStore::compact`] folds the overlay into immutable
+//!   sorted runs ([`run`]) published through one manifest ([`maintain`]),
+//!   and open replays only the segments above the manifest's floor.
 //!
 //! [`codec`] provides the fixed-width binary record encodings shared by the
 //! index tables, and [`fxhash`] a fast non-cryptographic hasher (we cannot
@@ -29,27 +30,34 @@
 
 pub mod codec;
 pub mod crc;
+pub mod delta;
 pub mod disk;
 pub mod error;
 pub mod fxhash;
+pub mod health;
 pub mod kv;
+pub mod maintain;
 pub mod mem;
 pub mod metrics;
 pub mod run;
+pub mod segment;
 pub mod vfs;
 
-pub use disk::{
-    parse_segment_bytes, replay_segment_bytes, verify_segments, DiskOptions, DiskStore,
-    DurabilityPolicy, RepairOutcome, ScrubOutcome, ScrubberHandle, SegmentEnd, SegmentReport,
-    SegmentScan, SegmentViolation,
-};
+pub use delta::{DeltaOp, DeltaState};
+pub use disk::{DiskOptions, DiskStore};
 pub use error::{io_kind_is_transient, ErrorClass, StorageError};
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
+pub use health::{QuarantineSet, QuarantinedRun};
 pub use kv::{Coverage, KvStore, TableId};
+pub use maintain::{RepairOutcome, ScrubOutcome, ScrubberHandle};
 pub use mem::MemStore;
 pub use metrics::{LatencyHistogram, ServerMetrics, StoreMetrics};
 pub use run::{
-    verify_runs, DeltaOp, DeltaState, Manifest, ManifestRun, QuarantineSet, QuarantinedRun,
-    RowZones, RunReader, RunReport, RunSet, RunViolation, ZoneExtractor, ZoneMap,
+    verify_runs, Manifest, ManifestRun, RowZones, RunReader, RunReport, RunSet, RunViolation,
+    ZoneExtractor, ZoneMap,
+};
+pub use segment::{
+    parse_segment_bytes, replay_segment_bytes, verify_segments, DurabilityPolicy, SegmentEnd,
+    SegmentReport, SegmentScan, SegmentViolation,
 };
 pub use vfs::{FaultFs, RealFs, RetryPolicy, RetryVfs, Vfs, VfsFile};

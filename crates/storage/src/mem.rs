@@ -89,14 +89,6 @@ impl MemStore {
             shard.write().retain(|(t, _), _| *t != table);
         }
     }
-
-    /// Remove every row of every table (segment replay hits this at a
-    /// snapshot marker: the snapshot supersedes all earlier segments).
-    pub fn clear_all(&self) {
-        for shard in &self.shards {
-            shard.write().clear();
-        }
-    }
 }
 
 impl KvStore for MemStore {

@@ -1,6 +1,5 @@
-//! Tiered immutable-run storage: sorted per-table run files, a
-//! crash-consistent `RunSet` manifest, and the write delta that overlays
-//! them.
+//! Tiered immutable-run storage: sorted per-table run files and the
+//! crash-consistent `RunSet` manifest that names the live ones.
 //!
 //! [`crate::DiskStore`]'s cold path stores its state as **runs**: immutable,
 //! sorted, CRC-protected files of full key→value images, one file per
@@ -39,7 +38,6 @@ use crate::fxhash::FxHashMap;
 use crate::kv::TableId;
 use crate::vfs::Vfs;
 use bytes::Bytes;
-use parking_lot::RwLock;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -367,6 +365,24 @@ impl RunReader {
         })
     }
 
+    /// [`open`](RunReader::open) a run something already refers to: the
+    /// file must also carry the CRC its referrer recorded. A failure returns
+    /// the diagnosis and, when the file still parsed, its zone map.
+    pub(crate) fn open_expecting(
+        vfs: &dyn Vfs,
+        path: &Path,
+        id: u64,
+        table: TableId,
+        crc: u32,
+    ) -> Result<RunReader, (String, Option<ZoneMap>)> {
+        match Self::open(vfs, path, id, table) {
+            Ok(r) if r.crc == crc => Ok(r),
+            Ok(r) => Err((format!("expected crc {crc:08x}, file has {:08x}", r.crc), Some(r.zone))),
+            Err(StorageError::CorruptRun { reason, .. }) => Err((reason, None)),
+            Err(e) => Err((format!("unreadable: {e}"), None)),
+        }
+    }
+
     /// Number of records.
     pub fn len(&self) -> usize {
         self.index.len()
@@ -500,7 +516,7 @@ pub fn decode_manifest(path: &Path, data: &[u8]) -> Result<Manifest, StorageErro
 }
 
 /// Read the manifest of `dir`, or `Ok(None)` when the store has none yet
-/// (a fresh or pre-run-tier directory).
+/// (a fresh or never-compacted directory).
 pub fn read_manifest(vfs: &dyn Vfs, dir: &Path) -> Result<Option<Manifest>, StorageError> {
     let path = dir.join(MANIFEST_NAME);
     let names = vfs.read_dir_names(dir)?;
@@ -542,11 +558,6 @@ pub struct RunSet {
 }
 
 impl RunSet {
-    /// An empty tier (fresh or legacy store).
-    pub fn empty() -> Self {
-        Self::default()
-    }
-
     /// Build a tier from opened readers.
     pub fn new(runs: Vec<Arc<RunReader>>) -> Self {
         let mut by_table: FxHashMap<TableId, Vec<usize>> = FxHashMap::default();
@@ -583,19 +594,11 @@ impl RunSet {
         t
     }
 
-    /// Zero-copy read of `key` from the newest run of `table` covering it.
-    pub fn get(&self, table: TableId, key: &[u8]) -> Option<Bytes> {
-        // Newest run wins; compaction produces at most one run per table,
-        // so in practice there is no overlap to resolve.
-        let idxs = self.by_table.get(&table)?;
-        idxs.iter().rev().filter_map(|&i| self.runs.get(i)).find_map(|r| r.get(key))
-    }
-
-    /// [`get`](RunSet::get) with the zone-map membership check surfaced:
-    /// every run of the table is reported to `on_run` as covered (`true`,
-    /// its row index was searched) or zone-pruned (`false`, untouched).
-    /// One pass — callers that would otherwise pair `key_may_exist` with
-    /// `get` walk the runs once instead of twice.
+    /// Zero-copy read of `key` from the newest run of `table` holding it
+    /// (compaction produces at most one run per table, so in practice there
+    /// is no overlap to resolve). The one walk of a table's runs: each is
+    /// reported to `on_run` as covered (`true`, its row index was searched)
+    /// or zone-pruned (`false`, untouched).
     pub fn get_pruning(
         &self,
         table: TableId,
@@ -618,244 +621,6 @@ impl RunSet {
     }
 }
 
-/// One run pulled from the searched set after failing verification:
-/// identity, diagnosis, and the key-range coverage the answers lost.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct QuarantinedRun {
-    /// Run id (names the file together with `table`).
-    pub id: u64,
-    /// Table whose rows the run held — the table whose answers narrowed.
-    pub table: TableId,
-    /// The damaged file (left on disk for diagnosis; never served from).
-    pub path: PathBuf,
-    /// What failed to verify.
-    pub reason: String,
-    /// Key range the run's zone map claimed, when the footer was still
-    /// readable — the keys whose reads may now under-report.
-    pub key_range: Option<(Vec<u8>, Vec<u8>)>,
-    /// Record count the zone map claimed, when readable.
-    pub records: Option<u64>,
-}
-
-/// The set of quarantined runs of one store. Corruption of an immutable
-/// run is not fatal — runs are derived from the segment log — so instead
-/// of failing reads, the store records the damaged run here, serves
-/// answers from the survivors, and reports itself
-/// [`Narrowed`](crate::kv::Coverage::Narrowed) until `repair()` rebuilds
-/// the lost state.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct QuarantineSet {
-    entries: Vec<QuarantinedRun>,
-}
-
-impl QuarantineSet {
-    /// An empty (healthy) set.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// True when nothing is quarantined.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Number of quarantined runs.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Every quarantined run, in quarantine order.
-    pub fn entries(&self) -> &[QuarantinedRun] {
-        &self.entries
-    }
-
-    /// Whether run `id` of `table` is quarantined.
-    pub fn contains(&self, id: u64, table: TableId) -> bool {
-        self.entries.iter().any(|e| e.id == id && e.table == table)
-    }
-
-    /// Record a quarantine event. Re-quarantining the same run (scrub and
-    /// a read racing to diagnose the same damage) keeps the first entry.
-    /// Returns whether the entry was new.
-    pub fn record(&mut self, entry: QuarantinedRun) -> bool {
-        if self.contains(entry.id, entry.table) {
-            return false;
-        }
-        self.entries.push(entry);
-        true
-    }
-
-    /// Tables with at least one quarantined run, ascending.
-    pub fn tables(&self) -> Vec<TableId> {
-        let mut t: Vec<TableId> = Vec::new();
-        for e in &self.entries {
-            if !t.contains(&e.table) {
-                t.push(e.table);
-            }
-        }
-        t.sort_unstable();
-        t
-    }
-
-    /// The coverage this quarantine state implies: `Full` when empty,
-    /// otherwise `Narrowed` over the quarantined tables with the first
-    /// entry's diagnosis as the reason.
-    pub fn coverage(&self) -> crate::kv::Coverage {
-        match self.entries.first() {
-            None => crate::kv::Coverage::Full,
-            Some(first) => crate::kv::Coverage::Narrowed {
-                quarantined_tables: self.tables(),
-                reason: first.reason.clone(),
-            },
-        }
-    }
-
-    /// Forget every entry (repair rebuilt the tier).
-    pub fn clear(&mut self) {
-        self.entries.clear();
-    }
-}
-
-/// One write recorded in the delta since the last compaction, relative to
-/// whatever the immutable runs hold for the same key.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum DeltaOp {
-    /// The key's value is exactly these bytes (run image shadowed).
-    Put(Vec<u8>),
-    /// These bytes follow the run image (or stand alone if the run has
-    /// none).
-    Append(Vec<u8>),
-    /// The key is gone (run image shadowed).
-    Delete,
-}
-
-type DeltaShard = RwLock<FxHashMap<(TableId, Box<[u8]>), DeltaOp>>;
-
-const DELTA_SHARDS: usize = 16;
-
-/// Sharded in-memory overlay of every mutation since the last compaction.
-/// Mutations are serialized by the store's writer lock; reads take shard
-/// read locks only.
-#[derive(Debug)]
-pub struct DeltaState {
-    shards: Vec<DeltaShard>,
-}
-
-impl Default for DeltaState {
-    fn default() -> Self {
-        Self { shards: (0..DELTA_SHARDS).map(|_| RwLock::new(FxHashMap::default())).collect() }
-    }
-}
-
-impl DeltaState {
-    /// Fresh empty delta.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    fn shard(&self, table: TableId, key: &[u8]) -> &DeltaShard {
-        let mut h = crate::fxhash::FxHasher::default();
-        use std::hash::{Hash, Hasher};
-        (table, key).hash(&mut h);
-        // DELTA_SHARDS is a power of two, so the mask stays in bounds.
-        &self.shards[(h.finish() as usize) & (DELTA_SHARDS - 1)]
-    }
-
-    /// The recorded op for `key`, if any (cloned out of the shard).
-    pub fn get(&self, table: TableId, key: &[u8]) -> Option<DeltaOp> {
-        self.shard(table, key).read().get(&(table, key.into()) as &(TableId, Box<[u8]>)).cloned()
-    }
-
-    /// Whether the delta holds *any* op for `key` (including `Delete`).
-    pub fn contains(&self, table: TableId, key: &[u8]) -> bool {
-        self.shard(table, key).read().contains_key(&(table, key.into()) as &(TableId, Box<[u8]>))
-    }
-
-    /// Record a full overwrite.
-    pub fn record_put(&self, table: TableId, key: &[u8], value: &[u8]) {
-        self.shard(table, key).write().insert((table, key.into()), DeltaOp::Put(value.to_vec()));
-    }
-
-    /// Record an append, folding it into the existing op for the key.
-    pub fn record_append(&self, table: TableId, key: &[u8], value: &[u8]) {
-        let mut shard = self.shard(table, key).write();
-        match shard.entry((table, key.into())) {
-            std::collections::hash_map::Entry::Vacant(e) => {
-                e.insert(DeltaOp::Append(value.to_vec()));
-            }
-            std::collections::hash_map::Entry::Occupied(mut e) => match e.get_mut() {
-                DeltaOp::Put(v) | DeltaOp::Append(v) => v.extend_from_slice(value),
-                DeltaOp::Delete => {
-                    e.insert(DeltaOp::Put(value.to_vec()));
-                }
-            },
-        }
-    }
-
-    /// Record a deletion.
-    pub fn record_delete(&self, table: TableId, key: &[u8]) {
-        self.shard(table, key).write().insert((table, key.into()), DeltaOp::Delete);
-    }
-
-    /// Drop every recorded op (legacy snapshot-marker replay).
-    pub fn clear_all(&self) {
-        for shard in &self.shards {
-            shard.write().clear();
-        }
-    }
-
-    /// Number of recorded ops.
-    pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.read().len()).sum()
-    }
-
-    /// True when no op is recorded.
-    pub fn is_empty(&self) -> bool {
-        self.shards.iter().all(|s| s.read().is_empty())
-    }
-
-    /// Snapshot of every `(table, key, op)` recorded.
-    pub fn entries(&self) -> Vec<(TableId, Box<[u8]>, DeltaOp)> {
-        let mut out = Vec::new();
-        for shard in &self.shards {
-            let shard = shard.read();
-            for ((t, k), op) in shard.iter() {
-                out.push((*t, k.clone(), op.clone()));
-            }
-        }
-        out
-    }
-
-    /// Snapshot of the ops recorded for `table`.
-    pub fn entries_for(&self, table: TableId) -> Vec<(Box<[u8]>, DeltaOp)> {
-        let mut out = Vec::new();
-        for shard in &self.shards {
-            let shard = shard.read();
-            for ((t, k), op) in shard.iter() {
-                if *t == table {
-                    out.push((k.clone(), op.clone()));
-                }
-            }
-        }
-        out
-    }
-
-    /// Tables with at least one recorded op.
-    pub fn tables(&self) -> Vec<TableId> {
-        let mut t: Vec<TableId> = Vec::new();
-        for shard in &self.shards {
-            let shard = shard.read();
-            for ((table, _), _) in shard.iter() {
-                if !t.contains(table) {
-                    t.push(*table);
-                }
-            }
-        }
-        t.sort_unstable();
-        t
-    }
-}
-
 /// One verification failure found by [`verify_runs`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RunViolation {
@@ -868,7 +633,7 @@ pub struct RunViolation {
 /// Outcome of a read-only verification pass over a store's run tier.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RunReport {
-    /// Whether a manifest was present (legacy stores have none).
+    /// Whether a manifest was present (a never-compacted store has none).
     pub manifest: bool,
     /// First segment number replay applies (0 without a manifest).
     pub segment_floor: u64,
@@ -895,7 +660,7 @@ impl RunReport {
 /// referenced run's structure (CRC, sort order, zone containment) and the
 /// manifest↔file CRC cross-check. Damage is collected, not failed on, so
 /// the auditor reports everything at once. A directory without a manifest
-/// reports clean (legacy stores).
+/// reports clean (a never-compacted store).
 pub fn verify_runs(vfs: &dyn Vfs, dir: &Path) -> Result<RunReport, StorageError> {
     let mut report = RunReport::default();
     let manifest = match read_manifest(vfs, dir) {
@@ -913,37 +678,19 @@ pub fn verify_runs(vfs: &dyn Vfs, dir: &Path) -> Result<RunReport, StorageError>
     report.manifest = true;
     report.segment_floor = manifest.segment_floor;
     report.runs = manifest.runs.len();
-    let mut referenced: Vec<String> = Vec::with_capacity(manifest.runs.len());
     for entry in &manifest.runs {
-        let name = run_file_name(entry.id, entry.table);
-        let path = dir.join(&name);
-        referenced.push(name);
-        match RunReader::open(vfs, &path, entry.id, entry.table) {
-            Ok(r) => {
-                report.records += r.zone.records;
-                if r.crc != entry.crc {
-                    report.violations.push(RunViolation {
-                        path,
-                        reason: format!(
-                            "manifest expects crc {:08x}, file has {:08x}",
-                            entry.crc, r.crc
-                        ),
-                    });
-                }
-            }
-            Err(StorageError::CorruptRun { path, reason }) => {
+        let path = dir.join(run_file_name(entry.id, entry.table));
+        match RunReader::open_expecting(vfs, &path, entry.id, entry.table, entry.crc) {
+            Ok(r) => report.records += r.zone.records,
+            Err((reason, zone)) => {
+                report.records += zone.map_or(0, |z| z.records);
                 report.violations.push(RunViolation { path, reason });
-            }
-            Err(StorageError::Io(e)) => {
-                report.violations.push(RunViolation { path, reason: format!("unreadable: {e}") });
-            }
-            Err(e) => {
-                report.violations.push(RunViolation { path, reason: e.to_string() });
             }
         }
     }
+    let referenced = |(id, table)| manifest.runs.iter().any(|r| r.id == id && r.table == table);
     for name in vfs.read_dir_names(dir)? {
-        if parse_run_file_name(&name).is_some() && !referenced.contains(&name) {
+        if parse_run_file_name(&name).is_some_and(|run| !referenced(run)) {
             report.orphans += 1;
         }
     }
@@ -1147,40 +894,6 @@ mod tests {
     }
 
     #[test]
-    fn quarantine_set_tracks_runs_and_coverage() {
-        use crate::kv::Coverage;
-        let mut q = QuarantineSet::new();
-        assert!(q.is_empty());
-        assert_eq!(q.coverage(), Coverage::Full);
-        let entry = |id: u64, table: u8| QuarantinedRun {
-            id,
-            table: TableId(table),
-            path: PathBuf::from(run_file_name(id, TableId(table))),
-            reason: "checksum mismatch".into(),
-            key_range: Some((b"a".to_vec(), b"z".to_vec())),
-            records: Some(10),
-        };
-        assert!(q.record(entry(3, 2)));
-        assert!(q.record(entry(1, 1)));
-        // Re-quarantining the same run is a no-op.
-        assert!(!q.record(entry(3, 2)));
-        assert_eq!(q.len(), 2);
-        assert!(q.contains(3, TableId(2)));
-        assert!(!q.contains(3, TableId(1)));
-        assert_eq!(q.tables(), vec![TableId(1), TableId(2)]);
-        match q.coverage() {
-            Coverage::Narrowed { quarantined_tables, reason } => {
-                assert_eq!(quarantined_tables, vec![TableId(1), TableId(2)]);
-                assert!(reason.contains("checksum"), "{reason}");
-            }
-            Coverage::Full => panic!("expected Narrowed"),
-        }
-        q.clear();
-        assert!(q.is_empty());
-        assert_eq!(q.coverage(), Coverage::Full);
-    }
-
-    #[test]
     fn runset_serves_per_table_reads() {
         let dir = tmp_dir("runset");
         let mk = |id: u64, table: TableId, pairs: &[(&[u8], &[u8])]| {
@@ -1194,44 +907,18 @@ mod tests {
         let set = RunSet::new(vec![r0, r1]);
         assert_eq!(set.len(), 2);
         assert_eq!(set.tables(), vec![TableId(1), TableId(2)]);
-        assert_eq!(set.get(TableId(1), b"a").unwrap().as_ref(), b"1");
-        assert_eq!(set.get(TableId(2), b"a").unwrap().as_ref(), b"2");
-        assert!(set.get(TableId(3), b"a").is_none());
+        let get = |table, key| set.get_pruning(table, key, |_| {});
+        assert_eq!(get(TableId(1), b"a").unwrap().as_ref(), b"1");
+        assert_eq!(get(TableId(2), b"a").unwrap().as_ref(), b"2");
+        assert!(get(TableId(3), b"a").is_none());
         assert_eq!(set.for_table(TableId(2)).count(), 1);
         fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
-    fn delta_op_algebra() {
-        let d = DeltaState::new();
-        assert!(d.is_empty());
-        // put then append extends the put.
-        d.record_put(T, b"k", b"ab");
-        d.record_append(T, b"k", b"c");
-        assert_eq!(d.get(T, b"k"), Some(DeltaOp::Put(b"abc".to_vec())));
-        // bare append stays an append (base lives in the runs).
-        d.record_append(T, b"j", b"x");
-        d.record_append(T, b"j", b"y");
-        assert_eq!(d.get(T, b"j"), Some(DeltaOp::Append(b"xy".to_vec())));
-        // delete then append restarts from empty — the delete shadowed the
-        // run image, so the append defines the full value.
-        d.record_delete(T, b"k");
-        assert_eq!(d.get(T, b"k"), Some(DeltaOp::Delete));
-        d.record_append(T, b"k", b"z");
-        assert_eq!(d.get(T, b"k"), Some(DeltaOp::Put(b"z".to_vec())));
-        assert!(d.contains(T, b"j"));
-        assert!(!d.contains(T, b"missing"));
-        assert_eq!(d.len(), 2);
-        assert_eq!(d.tables(), vec![T]);
-        assert_eq!(d.entries_for(T).len(), 2);
-        d.clear_all();
-        assert!(d.is_empty());
-    }
-
-    #[test]
     fn verify_runs_reports_damage_and_orphans() {
         let dir = tmp_dir("verify");
-        // No manifest: clean legacy report.
+        // No manifest: clean report.
         let clean = verify_runs(&RealFs, &dir).unwrap();
         assert!(clean.ok());
         assert!(!clean.manifest);

@@ -156,7 +156,7 @@ fn failed_sweep_during_compaction_is_reported_but_harmless() {
         commit_one(&store, &i.to_le_bytes(), &[i as u8; 8]);
     }
 
-    // Every unlink fails: the snapshot still publishes; the sweep reports.
+    // Every unlink fails: the manifest still publishes; the sweep reports.
     fs.arm_fail_after_removes(0);
     let err = store.compact().expect_err("sweep failures are surfaced");
     assert!(err.to_string().contains("could not be removed"), "{err}");
@@ -166,7 +166,7 @@ fn failed_sweep_during_compaction_is_reported_but_harmless() {
     drop(store);
 
     // Replay with the stale segments still present is correct: the
-    // snapshot's marker record supersedes them.
+    // manifest's segment floor keeps them out of replay.
     let reopened = DiskStore::open(&dir).expect("reopen with leftovers");
     for i in 0..4u32 {
         assert_eq!(reopened.get(T0, &i.to_le_bytes()).as_deref(), Some(&[i as u8; 8][..]));

@@ -7,8 +7,9 @@
 //! helper *called from* the server request path. This analysis can: it
 //! walks the call graph from the request-path entry points — `pub`
 //! functions in `crates/server/src/`, the `QueryEngine` API in
-//! `crates/query/src/engine.rs`, and the storage write path in
-//! `crates/storage/src/disk.rs` — and reports every reachable function
+//! `crates/query/src/engine.rs`, and the disk store's modules
+//! (`crates/storage/src/{disk,maintain,segment,delta,health}.rs`) — and
+//! reports every reachable function
 //! containing a panic source (`panic!`-family macros, `.unwrap()`,
 //! `.expect(…)`, or indexing/slicing). Findings are keyed per
 //! *(function, panic kind)*, not per line, so the baseline stays stable
@@ -97,8 +98,18 @@ fn is_entry(file: &str, owner: Option<&str>, is_pub: bool, in_test: bool) -> boo
     }
     file.starts_with("crates/server/src/")
         || (file == "crates/query/src/engine.rs" && owner == Some("QueryEngine"))
-        || file == "crates/storage/src/disk.rs"
+        || DISK_STORE_FILES.contains(&file)
 }
+
+/// The disk store: open, write and read path (`disk.rs`), maintenance
+/// (`maintain.rs`) and the segment, delta and health modules under them.
+const DISK_STORE_FILES: [&str; 5] = [
+    "crates/storage/src/disk.rs",
+    "crates/storage/src/maintain.rs",
+    "crates/storage/src/segment.rs",
+    "crates/storage/src/delta.rs",
+    "crates/storage/src/health.rs",
+];
 
 /// The error-taint scope: the write path whose errors PR 4 made typed.
 fn taint_scope(file: &str) -> bool {
@@ -546,6 +557,25 @@ mod tests {
     }
 
     #[test]
+    fn every_disk_store_module_is_an_entry_file() {
+        // The store's public surface is spread over its modules: a `pub`
+        // function in any of them starts a reachability walk, the same
+        // function in a storage file outside the set does not.
+        let src = "pub fn compact(x: Option<u32>) -> u32 { x.unwrap() }";
+        for file in DISK_STORE_FILES {
+            let ws = Workspace::from_sources(&[(file, "storage", src)], dep(&[("storage", &[])]));
+            let report = analyze(&ws);
+            assert_eq!(report.stats.entry_points, 1, "{file}");
+            assert!(report.findings.iter().any(|f| f.kind == "panic-reach"), "{file}");
+        }
+        let ws = Workspace::from_sources(
+            &[("crates/storage/src/codec.rs", "storage", src)],
+            dep(&[("storage", &[])]),
+        );
+        assert_eq!(analyze(&ws).stats.entry_points, 0);
+    }
+
+    #[test]
     fn unreachable_panic_is_not_reported() {
         // Private helper never called from an entry point.
         let ws = Workspace::from_sources(
@@ -701,7 +731,7 @@ mod tests {
             "pub fn flush() { let _ = sync_all(); }\nfn sync_all() -> Result<(), ()> { Ok(()) }";
         let ws = Workspace::from_sources(
             &[
-                ("crates/storage/src/disk.rs", "storage", drop_src),
+                ("crates/storage/src/maintain.rs", "storage", drop_src),
                 ("crates/query/src/engine.rs", "query", drop_src),
             ],
             dep(&[("storage", &[]), ("query", &[])]),

@@ -391,12 +391,16 @@ mod tests {
     #[test]
     fn storage_write_path_is_inside_the_no_panic_scope() {
         // The crash-consistency work hinges on the storage write path never
-        // panicking on I/O failure — keep the whole crate (disk.rs, vfs.rs,
-        // kv.rs, …) under the no-panic rule.
+        // panicking on I/O failure — keep the whole crate (disk.rs,
+        // segment.rs, delta.rs, vfs.rs, kv.rs, …) under the no-panic rule.
         let src = "fn f(x: std::io::Result<()>) { x.expect(\"write\"); }";
-        for file in
-            ["crates/storage/src/disk.rs", "crates/storage/src/vfs.rs", "crates/storage/src/kv.rs"]
-        {
+        for file in [
+            "crates/storage/src/disk.rs",
+            "crates/storage/src/segment.rs",
+            "crates/storage/src/delta.rs",
+            "crates/storage/src/vfs.rs",
+            "crates/storage/src/kv.rs",
+        ] {
             let v = lint_source(file, src);
             assert_eq!(v.len(), 1, "{file} must be linted: {v:?}");
             assert_eq!(v[0].rule, "no-panic");
@@ -407,12 +411,15 @@ mod tests {
     fn quarantine_and_repair_paths_are_inside_the_no_panic_scope() {
         // The partial-failure tolerance machinery runs exactly when the
         // filesystem is misbehaving: the scrub/quarantine/repair paths
-        // (disk.rs), the quarantine ledger and run verification (run.rs),
-        // the failure taxonomy (error.rs) and the retry/fault VFS layers
+        // (maintain.rs) and the publish point under them (disk.rs), the
+        // quarantine ledger (health.rs), run verification (run.rs), the
+        // failure taxonomy (error.rs) and the retry/fault VFS layers
         // (vfs.rs) must degrade or narrow, never panic.
         let src = "fn f(x: std::io::Result<()>) { x.expect(\"scrub\"); }";
         for file in [
+            "crates/storage/src/maintain.rs",
             "crates/storage/src/disk.rs",
+            "crates/storage/src/health.rs",
             "crates/storage/src/run.rs",
             "crates/storage/src/error.rs",
             "crates/storage/src/vfs.rs",
