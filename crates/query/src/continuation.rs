@@ -18,7 +18,7 @@
 //!   topK to l … degenerates to the accurate, while setting topK to 0 is
 //!   equal to the fast only alternative").
 
-use crate::detect::{get_completions, DetectResult, JoinStrategy, ReadCtx};
+use crate::detect::{get_completions, DetectResult, ReadCtx};
 use crate::{QueryError, Result};
 use seqdet_core::tables::{read_counts, COUNT, RCOUNT};
 use seqdet_log::{Activity, Pattern, Ts};
@@ -89,11 +89,10 @@ fn evaluate_exact<S: KvStore>(
     ctx: &ReadCtx<'_, S>,
     pattern: &Pattern,
     candidate: Activity,
-    join: JoinStrategy,
     max_gap: Option<Ts>,
 ) -> Result<Proposition> {
     let extended = pattern.extended(candidate);
-    let result: DetectResult = get_completions(ctx, &extended, join, None)?;
+    let result: DetectResult = get_completions(ctx, &extended, None)?;
     let mut kept = 0u64;
     let mut gap_sum = 0u64;
     for m in &result.matches {
@@ -118,7 +117,6 @@ fn evaluate_exact<S: KvStore>(
 pub(crate) fn accurate<S: KvStore>(
     ctx: &ReadCtx<'_, S>,
     pattern: &Pattern,
-    join: JoinStrategy,
     max_gap: Option<Ts>,
 ) -> Result<Vec<Proposition>> {
     let Some(last) = pattern.last() else {
@@ -126,7 +124,7 @@ pub(crate) fn accurate<S: KvStore>(
     };
     let mut props = Vec::new();
     for cand in candidates(ctx.store, last)? {
-        props.push(evaluate_exact(ctx, pattern, cand, join, max_gap)?);
+        props.push(evaluate_exact(ctx, pattern, cand, max_gap)?);
     }
     Ok(sort_by_score(props))
 }
@@ -169,7 +167,6 @@ pub(crate) fn fast<S: KvStore>(store: &S, pattern: &Pattern) -> Result<Vec<Propo
 pub(crate) fn hybrid<S: KvStore>(
     ctx: &ReadCtx<'_, S>,
     pattern: &Pattern,
-    join: JoinStrategy,
     k: usize,
     max_gap: Option<Ts>,
 ) -> Result<Vec<Proposition>> {
@@ -179,7 +176,7 @@ pub(crate) fn hybrid<S: KvStore>(
     }
     let mut props = Vec::with_capacity(k.min(pre.len()));
     for p in pre.into_iter().take(k) {
-        props.push(evaluate_exact(ctx, pattern, p.activity, join, max_gap)?);
+        props.push(evaluate_exact(ctx, pattern, p.activity, max_gap)?);
     }
     Ok(sort_by_score(props))
 }
@@ -193,7 +190,6 @@ pub(crate) fn accurate_at<S: KvStore>(
     ctx: &ReadCtx<'_, S>,
     pattern: &Pattern,
     pos: usize,
-    join: JoinStrategy,
 ) -> Result<Vec<Proposition>> {
     let pos = pos.min(pattern.len());
     let acts = pattern.activities();
@@ -213,7 +209,7 @@ pub(crate) fn accurate_at<S: KvStore>(
     let mut props = Vec::new();
     for cand in cands {
         let inserted = pattern.inserted(pos, cand);
-        let result = get_completions(ctx, &inserted, join, None)?;
+        let result = get_completions(ctx, &inserted, None)?;
         // Duration relative to the inserted event's predecessor (or to the
         // successor when inserting at the front).
         let anchor = if pos > 0 { pos } else { 1 };
@@ -280,7 +276,7 @@ mod tests {
         let tables = active_index_tables(store.as_ref());
         let p = Pattern::new(vec![act(&ix, "A")]);
         let ctx = ReadCtx::plain(store.as_ref(), &tables);
-        let acc = accurate(&ctx, &p, JoinStrategy::Hash, None).unwrap();
+        let acc = accurate(&ctx, &p, None).unwrap();
         let fst = fast(store.as_ref(), &p).unwrap();
         assert_eq!(acc.len(), fst.len());
         for (a, f) in acc.iter().zip(&fst) {
@@ -296,7 +292,7 @@ mod tests {
         let tables = active_index_tables(store.as_ref());
         let p = Pattern::new(vec![act(&ix, "A")]);
         let ctx = ReadCtx::plain(store.as_ref(), &tables);
-        let props = accurate(&ctx, &p, JoinStrategy::Hash, Some(10)).unwrap();
+        let props = accurate(&ctx, &p, Some(10)).unwrap();
         let c = props.iter().find(|pr| pr.activity == act(&ix, "C")).unwrap();
         assert_eq!(c.completions, 0); // the 99-gap completion is filtered out
         let b = props.iter().find(|pr| pr.activity == act(&ix, "B")).unwrap();
@@ -311,12 +307,12 @@ mod tests {
         let p = Pattern::new(vec![act(&ix, "A")]);
         let ctx = ReadCtx::plain(store.as_ref(), &tables);
         // k = 0 equals Fast.
-        let h0 = hybrid(&ctx, &p, JoinStrategy::Hash, 0, None).unwrap();
+        let h0 = hybrid(&ctx, &p, 0, None).unwrap();
         let f = fast(store.as_ref(), &p).unwrap();
         assert_eq!(h0, f);
         // k = l equals Accurate.
-        let hl = hybrid(&ctx, &p, JoinStrategy::Hash, 100, None).unwrap();
-        let a = accurate(&ctx, &p, JoinStrategy::Hash, None).unwrap();
+        let hl = hybrid(&ctx, &p, 100, None).unwrap();
+        let a = accurate(&ctx, &p, None).unwrap();
         assert_eq!(hl, a);
     }
 
@@ -347,7 +343,7 @@ mod tests {
         let tables = active_index_tables(store.as_ref());
         let p = Pattern::new(vec![act(&ix, "A"), act(&ix, "B")]);
         let ctx = ReadCtx::plain(store.as_ref(), &tables);
-        let props = accurate_at(&ctx, &p, 1, JoinStrategy::Hash).unwrap();
+        let props = accurate_at(&ctx, &p, 1).unwrap();
         let nonzero: Vec<_> = props.iter().filter(|pr| pr.completions > 0).collect();
         assert_eq!(nonzero.len(), 1);
         assert_eq!(nonzero[0].activity, act(&ix, "X"));
@@ -361,7 +357,7 @@ mod tests {
         let tables = active_index_tables(store.as_ref());
         let p = Pattern::new(vec![act(&ix, "B")]);
         let ctx = ReadCtx::plain(store.as_ref(), &tables);
-        let props = accurate_at(&ctx, &p, 0, JoinStrategy::Hash).unwrap();
+        let props = accurate_at(&ctx, &p, 0).unwrap();
         assert_eq!(props.len(), 1);
         assert_eq!(props[0].activity, act(&ix, "A"));
         assert_eq!(props[0].completions, 10);

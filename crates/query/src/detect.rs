@@ -27,36 +27,24 @@
 //! ([`seqdet_core::decode_postings_v2_into`]) into a trace-sorted
 //! [`PostingList`]. Join steps then advance to each partial's trace with
 //! [`PostingList::for_trace`] — a binary-search `seek`, not a hash probe or
-//! scan. The per-trace join itself fans out across the context's
-//! [`seqdet_exec::Executor`] — each trace's partial matches extend
-//! independently, so the join parallelizes embarrassingly.
+//! scan.
 //!
-//! The per-trace join comes in two flavors, benchmarked as an ablation:
-//!
-//! * [`JoinStrategy::Hash`] (default) — build a `ts_a → ts_b` map of the
-//!   next pair's postings per trace; each partial extends in `O(1)`.
-//!   (Timestamps are unique within a trace, and greedy pair occurrences
-//!   never share their first event, so the map is injective.)
-//! * [`JoinStrategy::NestedLoop`] — the paper's literal pseudocode: for
-//!   every partial, scan the trace's posting list.
+//! The join itself is one sequential loop on the calling thread: per trace,
+//! build a `ts_a → ts_b` map of the next pair's postings and extend each
+//! partial in `O(1)`. (Timestamps are unique within a trace, and greedy
+//! pair occurrences never share their first event, so the map is
+//! injective.) It stays on one thread because spawning workers per join
+//! step costs more than the step (EXPERIMENTS.md, *Closed ablations*). The
+//! paper's literal nested-loop pseudocode lives in this module's tests as
+//! the reference the hash join is compared against.
 
 use crate::cache::{PostingCache, PostingList};
 use crate::Result;
 use seqdet_core::PairKey;
 use seqdet_exec::Executor;
 use seqdet_log::{Activity, Pattern, TraceId, Ts};
-use seqdet_storage::{Coverage, KvStore, StoreMetrics, TableId};
+use seqdet_storage::{Coverage, FxHashMap, KvStore, StoreMetrics, TableId};
 use std::sync::Arc;
-
-/// Per-trace join implementation used when extending partial matches.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum JoinStrategy {
-    /// Hash join on the shared timestamp (default).
-    #[default]
-    Hash,
-    /// Literal nested-loop join of Algorithm 2.
-    NestedLoop,
-}
 
 /// One completion of the query pattern in one trace: the matched events'
 /// timestamps, in pattern order.
@@ -122,7 +110,7 @@ impl DetectResult {
 
 /// Everything a query needs to read posting lists: the store and partition
 /// layout, plus the (optional) cache, the generation the layout was read
-/// under, the (optional) metrics sink and the join executor.
+/// under, the (optional) metrics sink and the verifier executor.
 ///
 /// Built per query by [`crate::QueryEngine`] after its generation check, so
 /// cache lookups are stamped with a generation that is current for this
@@ -233,8 +221,7 @@ impl<'a, S: KvStore> ReadCtx<'a, S> {
     }
 }
 
-/// Partial matches, per trace. A `Vec` (not a map) so the join steps can
-/// fan out over it with [`Executor::map`].
+/// Partial matches, per trace, in ascending trace order.
 type Partials = Vec<(TraceId, Vec<Vec<Ts>>)>;
 
 /// Detect all completions of `pattern` (length ≥ 2), optionally collecting
@@ -243,10 +230,9 @@ type Partials = Vec<(TraceId, Vec<Vec<Ts>>)>;
 pub(crate) fn get_completions<S: KvStore>(
     ctx: &ReadCtx<'_, S>,
     pattern: &Pattern,
-    join: JoinStrategy,
     on_prefix: Option<&mut Vec<DetectResult>>,
 ) -> Result<DetectResult> {
-    get_completions_within(ctx, pattern, join, None, on_prefix)
+    get_completions_within(ctx, pattern, None, on_prefix)
 }
 
 /// [`get_completions`] with an optional CEP-style time window: a completion
@@ -256,24 +242,56 @@ pub(crate) fn get_completions<S: KvStore>(
 pub(crate) fn get_completions_within<S: KvStore>(
     ctx: &ReadCtx<'_, S>,
     pattern: &Pattern,
-    join: JoinStrategy,
     window: Option<Ts>,
     mut on_prefix: Option<&mut Vec<DetectResult>>,
 ) -> Result<DetectResult> {
-    let p = pattern.len();
-    debug_assert!(p >= 2, "get_completions requires a pattern of length >= 2");
-    let acts = pattern.activities();
-
-    // Fetch every consecutive pair's postings up front (the join loop
-    // reads each exactly once anyway).
-    let mut lists = Vec::with_capacity(p - 1);
-    for i in 0..p - 1 {
-        lists.push(ctx.postings(Activity::pair_key(acts[i], acts[i + 1]))?);
+    let lists = pair_postings(ctx, pattern)?;
+    let mut partials = first_partials(&lists[0], window);
+    if let Some(prefixes) = on_prefix.as_deref_mut() {
+        prefixes.push(collect(&partials));
     }
-    let first = &lists[0];
 
-    // previous ← Index.get(ev_1, ev_2), as per-trace partial matches.
-    let mut partials: Partials = first
+    // The next pair's `ts_a → ts_b` occurrences of one trace; built once,
+    // refilled per trace.
+    let mut by_start: FxHashMap<Ts, Ts> = FxHashMap::default();
+    for next in &lists[1..] {
+        partials.retain_mut(|(trace, parts)| {
+            // Next-match advancement seeks straight to the partial's trace
+            // in the sorted posting list.
+            by_start.clear();
+            by_start.extend(next.for_trace(*trace).iter().map(|&(_, a, b)| (a, b)));
+            parts.retain_mut(|part| {
+                let Some(&ts_b) = part.last().and_then(|last| by_start.get(last)) else {
+                    return false;
+                };
+                if window.is_some_and(|w| ts_b - part[0] > w) {
+                    return false;
+                }
+                part.push(ts_b);
+                true
+            });
+            !parts.is_empty()
+        });
+        if let Some(prefixes) = on_prefix.as_deref_mut() {
+            prefixes.push(collect(&partials));
+        }
+    }
+    Ok(collect(&partials))
+}
+
+/// Postings of every consecutive pair of `pattern` (length ≥ 2), fetched up
+/// front — the join loop reads each exactly once anyway.
+fn pair_postings<S: KvStore>(
+    ctx: &ReadCtx<'_, S>,
+    pattern: &Pattern,
+) -> Result<Vec<Arc<PostingList>>> {
+    debug_assert!(pattern.len() >= 2, "get_completions requires a pattern of length >= 2");
+    pattern.consecutive_pairs().map(|(a, b)| ctx.postings(Activity::pair_key(a, b))).collect()
+}
+
+/// `previous ← Index.get(ev_1, ev_2)`, as per-trace partial matches.
+fn first_partials(first: &PostingList, window: Option<Ts>) -> Partials {
+    first
         .by_trace()
         .filter_map(|(trace, occs)| {
             let parts: Vec<Vec<Ts>> = occs
@@ -283,64 +301,7 @@ pub(crate) fn get_completions_within<S: KvStore>(
                 .collect();
             (!parts.is_empty()).then_some((trace, parts))
         })
-        .collect();
-    if let Some(prefixes) = on_prefix.as_deref_mut() {
-        prefixes.push(collect(&partials));
-    }
-
-    for next in lists.iter().take(p - 1).skip(1) {
-        // Each trace's partials extend independently of every other trace's
-        // — fan the join step out across the executor. Next-match
-        // advancement seeks straight to the partial's trace in the sorted
-        // posting list.
-        partials = ctx
-            .executor
-            .map(&partials, |(trace, parts)| {
-                let occs = next.for_trace(*trace);
-                if occs.is_empty() {
-                    return (*trace, Vec::new());
-                }
-                let mut extended = Vec::new();
-                match join {
-                    // The `ts_a → ts_b` map is this worker's reusable
-                    // scratch, not a fresh allocation per trace.
-                    JoinStrategy::Hash => crate::arena::with_join_map(|by_start| {
-                        by_start.extend(occs.iter().map(|&(_, a, b)| (a, b)));
-                        for part in parts {
-                            let Some(&last) = part.last() else { continue };
-                            if let Some(&ts_b) = by_start.get(&last) {
-                                if window.is_some_and(|w| ts_b - part[0] > w) {
-                                    continue;
-                                }
-                                let mut next_part = part.clone();
-                                next_part.push(ts_b);
-                                extended.push(next_part);
-                            }
-                        }
-                    }),
-                    JoinStrategy::NestedLoop => {
-                        for part in parts {
-                            let Some(&last) = part.last() else { continue };
-                            for &(_, a, b) in occs {
-                                if a == last && window.is_none_or(|w| b - part[0] <= w) {
-                                    let mut next_part = part.clone();
-                                    next_part.push(b);
-                                    extended.push(next_part);
-                                }
-                            }
-                        }
-                    }
-                }
-                (*trace, extended)
-            })
-            .into_iter()
-            .filter(|(_, parts)| !parts.is_empty())
-            .collect();
-        if let Some(prefixes) = on_prefix.as_deref_mut() {
-            prefixes.push(collect(&partials));
-        }
-    }
-    Ok(collect(&partials))
+        .collect()
 }
 
 /// Detect the traces/positions of a single activity (`p == 1`). The pair
@@ -407,7 +368,7 @@ mod tests {
         let store = ix.store();
         let tables = seqdet_core::indexer::active_index_tables(store.as_ref());
         let ctx = ReadCtx::plain(store.as_ref(), &tables);
-        let r = get_completions(&ctx, &ab, JoinStrategy::Hash, None).unwrap();
+        let r = get_completions(&ctx, &ab, None).unwrap();
         assert_eq!(r.total_completions(), 3); // t1: (1,3),(4,5); t2: (1,2)
         assert_eq!(r.traces().len(), 2);
     }
@@ -418,14 +379,12 @@ mod tests {
         let store = ix.store();
         let tables = seqdet_core::indexer::active_index_tables(store.as_ref());
         let ctx = ReadCtx::plain(store.as_ref(), &tables);
-        for join in [JoinStrategy::Hash, JoinStrategy::NestedLoop] {
-            let r = get_completions(&ctx, &abc, join, None).unwrap();
-            assert_eq!(r.total_completions(), 1, "{join:?}");
-            let m = &r.matches[0];
-            assert_eq!(m.timestamps, vec![1, 2, 3]);
-            assert_eq!(m.duration(), 2);
-            assert_eq!((m.start(), m.end()), (1, 3));
-        }
+        let r = get_completions(&ctx, &abc, None).unwrap();
+        assert_eq!(r.total_completions(), 1);
+        let m = &r.matches[0];
+        assert_eq!(m.timestamps, vec![1, 2, 3]);
+        assert_eq!(m.duration(), 2);
+        assert_eq!((m.start(), m.end()), (1, 3));
     }
 
     #[test]
@@ -435,7 +394,7 @@ mod tests {
         let tables = seqdet_core::indexer::active_index_tables(store.as_ref());
         let ctx = ReadCtx::plain(store.as_ref(), &tables);
         let mut prefixes = Vec::new();
-        let r = get_completions(&ctx, &abc, JoinStrategy::Hash, Some(&mut prefixes)).unwrap();
+        let r = get_completions(&ctx, &abc, Some(&mut prefixes)).unwrap();
         assert_eq!(prefixes.len(), 2); // ⟨A,B⟩ and ⟨A,B,C⟩
         assert_eq!(prefixes[0].total_completions(), 3);
         assert_eq!(prefixes[1], r);
@@ -450,7 +409,7 @@ mod tests {
         let c = ix.catalog().activity("C").unwrap();
         let a = ix.catalog().activity("A").unwrap();
         let ca = Pattern::new(vec![c, a]);
-        let r = get_completions(&ctx, &ca, JoinStrategy::Hash, None).unwrap();
+        let r = get_completions(&ctx, &ca, None).unwrap();
         assert!(r.is_empty());
         assert_eq!(r.traces(), vec![]);
     }
@@ -465,37 +424,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_join_matches_sequential() {
-        // Many traces so the executor actually fans out; results must be
-        // identical to the 1-thread join.
-        let mut b = EventLogBuilder::new();
-        for t in 0..64 {
-            let name = format!("t{t}");
-            for (i, a) in ["A", "B", "C", "A", "B"].iter().enumerate() {
-                b.add(&name, a, (t + 1) * 100 + i as u64);
-            }
-        }
-        let mut ix = Indexer::new(IndexConfig::new(Policy::SkipTillNextMatch));
-        ix.index_log(&b.build()).unwrap();
-        let store = ix.store();
-        let tables = seqdet_core::indexer::active_index_tables(store.as_ref());
-        let abc = Pattern::new(vec![
-            ix.catalog().activity("A").unwrap(),
-            ix.catalog().activity("B").unwrap(),
-            ix.catalog().activity("C").unwrap(),
-        ]);
-        let seq_ctx = ReadCtx::plain(store.as_ref(), &tables);
-        let mut par_ctx = ReadCtx::plain(store.as_ref(), &tables);
-        par_ctx.executor = Executor::new(4);
-        for join in [JoinStrategy::Hash, JoinStrategy::NestedLoop] {
-            let s = get_completions(&seq_ctx, &abc, join, None).unwrap();
-            let p = get_completions(&par_ctx, &abc, join, None).unwrap();
-            assert_eq!(s, p, "{join:?}");
-            assert_eq!(s.total_completions(), 64);
-        }
-    }
-
-    #[test]
     fn cached_reads_return_identical_results() {
         let (ix, ab, abc) = indexed();
         let store = ix.store();
@@ -503,13 +431,105 @@ mod tests {
         let cache = PostingCache::new(64);
         let mut ctx = ReadCtx::plain(store.as_ref(), &tables);
         ctx.cache = Some(&cache);
-        let cold_ab = get_completions(&ctx, &ab, JoinStrategy::Hash, None).unwrap();
-        let cold_abc = get_completions(&ctx, &abc, JoinStrategy::Hash, None).unwrap();
-        let warm_ab = get_completions(&ctx, &ab, JoinStrategy::Hash, None).unwrap();
-        let warm_abc = get_completions(&ctx, &abc, JoinStrategy::Hash, None).unwrap();
+        let cold_ab = get_completions(&ctx, &ab, None).unwrap();
+        let cold_abc = get_completions(&ctx, &abc, None).unwrap();
+        let warm_ab = get_completions(&ctx, &ab, None).unwrap();
+        let warm_abc = get_completions(&ctx, &abc, None).unwrap();
         assert_eq!(cold_ab, warm_ab);
         assert_eq!(cold_abc, warm_abc);
         let s = cache.stats();
         assert!(s.hits >= 3, "⟨A,B⟩ ×2 and ⟨B,C⟩ re-reads hit: {s:?}");
+    }
+
+    /// Algorithm 2's literal pseudocode — for every partial, scan the
+    /// trace's posting list — kept as the reference the production hash
+    /// join is compared against.
+    fn nested_loop_completions<S: KvStore>(
+        ctx: &ReadCtx<'_, S>,
+        pattern: &Pattern,
+        window: Option<Ts>,
+        mut on_prefix: Option<&mut Vec<DetectResult>>,
+    ) -> Result<DetectResult> {
+        let lists = pair_postings(ctx, pattern)?;
+        let mut partials = first_partials(&lists[0], window);
+        if let Some(prefixes) = on_prefix.as_deref_mut() {
+            prefixes.push(collect(&partials));
+        }
+        for next in &lists[1..] {
+            partials = partials
+                .iter()
+                .map(|(trace, parts)| {
+                    let occs = next.for_trace(*trace);
+                    let mut extended = Vec::new();
+                    for part in parts {
+                        let Some(&last) = part.last() else { continue };
+                        for &(_, a, b) in occs {
+                            if a == last && window.is_none_or(|w| b - part[0] <= w) {
+                                let mut next_part = part.clone();
+                                next_part.push(b);
+                                extended.push(next_part);
+                            }
+                        }
+                    }
+                    (*trace, extended)
+                })
+                .filter(|(_, parts)| !parts.is_empty())
+                .collect();
+            if let Some(prefixes) = on_prefix.as_deref_mut() {
+                prefixes.push(collect(&partials));
+            }
+        }
+        Ok(collect(&partials))
+    }
+
+    mod properties {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+            #[test]
+            fn hash_join_equals_nested_loop_reference(
+                traces in prop::collection::vec(prop::collection::vec(0u32..5, 0..=40), 0..=12),
+                pat in prop::collection::vec(0u32..5, 2..=6),
+            ) {
+                let mut b = EventLogBuilder::new();
+                for (t, acts) in traces.iter().enumerate() {
+                    for (i, a) in acts.iter().enumerate() {
+                        b.add(&format!("t{t}"), &format!("a{a}"), i as Ts + 1);
+                    }
+                }
+                let log = b.build();
+                for policy in [Policy::StrictContiguity, Policy::SkipTillNextMatch] {
+                    let mut ix = Indexer::new(IndexConfig::new(policy));
+                    ix.index_log(&log).unwrap();
+                    let store = ix.store();
+                    let tables = seqdet_core::indexer::active_index_tables(store.as_ref());
+                    let ctx = ReadCtx::plain(store.as_ref(), &tables);
+                    // An activity the log never drew has no catalog id and
+                    // no postings; any unused id stands in for it.
+                    let pattern = Pattern::new(
+                        pat.iter()
+                            .map(|a| {
+                                ix.catalog().activity(&format!("a{a}")).unwrap_or(Activity(u32::MAX))
+                            })
+                            .collect(),
+                    );
+                    for window in [None, Some(3), Some(1000)] {
+                        let expected = nested_loop_completions(&ctx, &pattern, window, None).unwrap();
+                        let got = get_completions_within(&ctx, &pattern, window, None).unwrap();
+                        prop_assert_eq!(&got, &expected, "{:?} window {:?}", policy, window);
+
+                        let (mut want, mut prefixes) = (Vec::new(), Vec::new());
+                        nested_loop_completions(&ctx, &pattern, window, Some(&mut want)).unwrap();
+                        let got =
+                            get_completions_within(&ctx, &pattern, window, Some(&mut prefixes)).unwrap();
+                        prop_assert_eq!(&got, &expected, "{:?} window {:?}", policy, window);
+                        prop_assert_eq!(&prefixes, &want, "{:?} window {:?}", policy, window);
+                        prop_assert_eq!(prefixes.len(), pattern.len() - 1);
+                    }
+                }
+            }
+        }
     }
 }

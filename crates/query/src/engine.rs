@@ -3,7 +3,7 @@
 use crate::anymatch::{self, AnyMatchResult};
 use crate::cache::{CacheStats, PostingCache};
 use crate::continuation::{self, ContinuationMethod, Proposition};
-use crate::detect::{self, DetectResult, JoinStrategy, ReadCtx};
+use crate::detect::{self, DetectResult, ReadCtx};
 use crate::stats::{self, PatternStats};
 use crate::{richpat, QueryError, Result};
 use parking_lot::RwLock;
@@ -14,7 +14,7 @@ use seqdet_log::{Pattern, RichPattern};
 use seqdet_storage::{Coverage, KvStore, StoreMetrics, TableId};
 use std::sync::Arc;
 
-/// Default bound on resident posting-cache entries.
+/// Bound on resident posting-cache entries.
 pub const DEFAULT_CACHE_CAPACITY: usize = 4096;
 
 /// Partition layout and catalog as of one index generation.
@@ -29,7 +29,8 @@ struct Layout {
 ///
 /// The engine is read-only over the index. Posting lists are served through
 /// a sharded, generation-stamped [`PostingCache`] and decoded on miss with
-/// the core decode kernel; per-trace join work fans out across an
+/// the core decode kernel; the pairwise join runs on the calling thread and
+/// only the per-trace verifiers (rich patterns, any-match) fan out across an
 /// [`Executor`]. Before every query (and every [`QueryEngine::catalog`]
 /// read) the engine compares the store's [`index_generation`] against its
 /// snapshot and, on a change, reloads the partition layout *and the
@@ -42,14 +43,12 @@ pub struct QueryEngine<S: KvStore> {
     cache: PostingCache,
     executor: Executor,
     metrics: Option<Arc<StoreMetrics>>,
-    join: JoinStrategy,
 }
 
 impl<S: KvStore> QueryEngine<S> {
-    /// Open a query engine over an indexed store, with the default cache
-    /// capacity ([`DEFAULT_CACHE_CAPACITY`]) and join parallelism (all
-    /// cores). A store in the legacy v1 posting format is refused here
-    /// ([`check_posting_format`]), not mid-query.
+    /// Open a query engine over an indexed store, with a posting cache of
+    /// [`DEFAULT_CACHE_CAPACITY`] rows. A store in the legacy v1 posting
+    /// format is refused here ([`check_posting_format`]), not mid-query.
     pub fn new(store: Arc<S>) -> Result<Self> {
         check_posting_format(store.as_ref())?;
         let catalog = Arc::new(Catalog::load(store.as_ref())?);
@@ -61,34 +60,7 @@ impl<S: KvStore> QueryEngine<S> {
             cache: PostingCache::new(DEFAULT_CACHE_CAPACITY),
             executor: Executor::default(),
             metrics: None,
-            join: JoinStrategy::default(),
         })
-    }
-
-    /// Select the per-trace join strategy (ablation knob; default Hash).
-    pub fn with_join(mut self, join: JoinStrategy) -> Self {
-        self.join = join;
-        self
-    }
-
-    /// Set the join parallelism: number of worker threads for the per-trace
-    /// join and STAM fan-out. `0` means all available cores; `1` runs
-    /// queries sequentially.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.executor = Executor::new(threads);
-        self
-    }
-
-    /// Bound the posting cache to roughly `capacity` `(table, pair)` rows.
-    /// `0` disables query-side caching entirely (every read decodes from
-    /// the store — the cold-path configuration of the benchmarks).
-    pub fn with_cache_capacity(mut self, capacity: usize) -> Self {
-        let mut cache = PostingCache::new(capacity);
-        if let Some(m) = &self.metrics {
-            cache.set_metrics(Arc::clone(m));
-        }
-        self.cache = cache;
-        self
     }
 
     /// Record cursor decodes and cache hits/misses/evictions/invalidations
@@ -207,7 +179,7 @@ impl<S: KvStore> QueryEngine<S> {
             &[single] => detect::detect_single(self.store.as_ref(), single),
             _ => {
                 let (generation, tables) = self.snapshot();
-                detect::get_completions(&self.ctx(generation, &tables), pattern, self.join, None)
+                detect::get_completions(&self.ctx(generation, &tables), pattern, None)
             }
         })?;
         result.coverage = coverage;
@@ -227,7 +199,6 @@ impl<S: KvStore> QueryEngine<S> {
             detect::get_completions_within(
                 &self.ctx(generation, &tables),
                 pattern,
-                self.join,
                 Some(window),
                 None,
             )
@@ -248,12 +219,7 @@ impl<S: KvStore> QueryEngine<S> {
         let (mut prefixes, coverage) = self.stamped(|| {
             let (generation, tables) = self.snapshot();
             let mut prefixes = Vec::with_capacity(pattern.len() - 1);
-            detect::get_completions(
-                &self.ctx(generation, &tables),
-                pattern,
-                self.join,
-                Some(&mut prefixes),
-            )?;
+            detect::get_completions(&self.ctx(generation, &tables), pattern, Some(&mut prefixes))?;
             Ok(prefixes)
         })?;
         for p in &mut prefixes {
@@ -285,12 +251,12 @@ impl<S: KvStore> QueryEngine<S> {
         match method {
             ContinuationMethod::Accurate { max_gap } => {
                 let (generation, tables) = self.snapshot();
-                continuation::accurate(&self.ctx(generation, &tables), pattern, self.join, max_gap)
+                continuation::accurate(&self.ctx(generation, &tables), pattern, max_gap)
             }
             ContinuationMethod::Fast => continuation::fast(self.store.as_ref(), pattern),
             ContinuationMethod::Hybrid { k, max_gap } => {
                 let (generation, tables) = self.snapshot();
-                continuation::hybrid(&self.ctx(generation, &tables), pattern, self.join, k, max_gap)
+                continuation::hybrid(&self.ctx(generation, &tables), pattern, k, max_gap)
             }
         }
     }
@@ -302,7 +268,7 @@ impl<S: KvStore> QueryEngine<S> {
             return Err(QueryError::PatternTooShort { required: 1, actual: 0 });
         }
         let (generation, tables) = self.snapshot();
-        continuation::accurate_at(&self.ctx(generation, &tables), pattern, pos, self.join)
+        continuation::accurate_at(&self.ctx(generation, &tables), pattern, pos)
     }
 
     /// Rich patterns assume skip-till semantics (anchors may be separated
@@ -469,23 +435,6 @@ mod tests {
     }
 
     #[test]
-    fn join_strategies_agree() {
-        let mut b = EventLogBuilder::new();
-        for t in 0..20 {
-            let name = format!("t{t}");
-            for (i, a) in ["A", "B", "C", "A", "B", "C"].iter().enumerate() {
-                b.add(&name, a, (t + 1) * 100 + i as u64);
-            }
-        }
-        let mut ix = Indexer::new(IndexConfig::new(Policy::SkipTillNextMatch));
-        ix.index_log(&b.build()).unwrap();
-        let hash = QueryEngine::new(ix.store()).unwrap();
-        let nested = QueryEngine::new(ix.store()).unwrap().with_join(JoinStrategy::NestedLoop);
-        let p = hash.pattern(&["A", "B", "C", "A"]).unwrap();
-        assert_eq!(hash.detect(&p).unwrap(), nested.detect(&p).unwrap());
-    }
-
-    #[test]
     fn windowed_detection_filters_wide_matches() {
         let mut b = EventLogBuilder::new();
         b.add("quick", "A", 1).add("quick", "B", 3);
@@ -559,24 +508,6 @@ mod tests {
         assert_eq!(metrics.cache_misses(), 2);
         assert_eq!(metrics.cursor_decodes(), 20);
         assert_eq!(e.cache_stats().entries, 2);
-    }
-
-    #[test]
-    fn disabled_cache_always_decodes() {
-        let metrics = Arc::new(StoreMetrics::new());
-        let mut b = EventLogBuilder::new();
-        b.add("t", "A", 1).add("t", "B", 2);
-        let mut ix = Indexer::new(IndexConfig::new(Policy::SkipTillNextMatch));
-        ix.index_log(&b.build()).unwrap();
-        let e = QueryEngine::new(ix.store())
-            .unwrap()
-            .with_cache_capacity(0)
-            .with_metrics(Arc::clone(&metrics));
-        let p = e.pattern(&["A", "B"]).unwrap();
-        e.detect(&p).unwrap();
-        e.detect(&p).unwrap();
-        assert_eq!(metrics.cache_hits(), 0);
-        assert_eq!(metrics.cursor_decodes(), 2);
     }
 
     #[test]

@@ -28,10 +28,10 @@
 //! All index-reading queries share one read path: block-compressed posting
 //! rows are decoded by the core kernel into trace-sorted
 //! [`cache::PostingList`]s and cached in a sharded generation-stamped LRU
-//! ([`PostingCache`]); per-trace join work runs on a worker pool. See [`cache`] and the "Query read path" section of
-//! `DESIGN.md` for the consistency model and tuning knobs
-//! ([`QueryEngine::with_cache_capacity`], [`QueryEngine::with_threads`],
-//! [`QueryEngine::with_metrics`]).
+//! ([`PostingCache`]); the pairwise join runs on the calling thread and the
+//! per-trace verifiers fan out across an executor. See [`cache`] and the
+//! "Query read path" section of `DESIGN.md` for the consistency model, and
+//! [`QueryEngine::with_metrics`] for the read-path counters.
 
 #![forbid(unsafe_code)]
 
@@ -49,7 +49,7 @@ pub mod stats;
 pub use anymatch::AnyMatchResult;
 pub use cache::{CacheStats, PostingCache, PostingList};
 pub use continuation::{ContinuationMethod, Proposition};
-pub use detect::{DetectResult, JoinStrategy, PatternMatch};
+pub use detect::{DetectResult, PatternMatch};
 pub use engine::{QueryEngine, DEFAULT_CACHE_CAPACITY};
 pub use error::QueryError;
 pub use lang::{parse_query, Query, QueryOutput};

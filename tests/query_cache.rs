@@ -80,7 +80,7 @@ fn partition_drop_refreshes_layout_and_cache() {
     assert_eq!(warmed_result.matches[0].timestamps, vec![150, 160]);
 }
 
-/// The acceptance-criterion counters: cache hits/misses and cursor decodes
+/// The read-path counters: cache hits/misses and cursor decodes
 /// flow into the same `StoreMetrics` as the store's own get/put counts, and
 /// a warm query touches the store only for the generation check.
 #[test]
