@@ -2,13 +2,15 @@
 //!
 //! Pattern queries read the same `Index` rows over and over: every
 //! consecutive pair of every detection, continuation and STAM query turns
-//! into a posting-list fetch, and workloads repeat patterns (the paper's
-//! continuation queries literally re-detect the same prefix per candidate).
+//! into a posting-list fetch, and workloads repeat patterns (a continuation
+//! query reads the pattern's pairs plus one `(last, candidate)` row per
+//! candidate).
 //! This cache keeps the postings of recently used `(table, pair)` rows
-//! **already decoded and trace-sorted** (a [`PostingList`]) — the exact
-//! shape the per-trace join seeks into — so a warm query skips the row
-//! fetch, the block decode and the re-sort entirely: the varint blocks are
-//! expanded once on miss and never re-decoded on a hit.
+//! **already decoded and sorted by `(trace, ts_a)`** (a [`PostingList`]:
+//! a trace column beside a `(ts_a, ts_b)` column) — the exact shape the
+//! merge join walks — so a warm query skips the row fetch, the block decode
+//! and the re-sort entirely: the varint blocks are expanded once on miss
+//! and never re-decoded on a hit.
 //!
 //! ## Consistency
 //!
@@ -35,83 +37,122 @@ use seqdet_storage::{FxHashMap, StoreMetrics, TableId};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Decoded postings of one `(table, pair)` row, stable-sorted by trace id
-/// (posting order preserved within a trace). The flat sorted layout lets the
-/// join find a trace's occurrences with a binary-search [`PostingList::seek`]
-/// instead of hashing every trace into a map, and it is the shape the cache
-/// stores: blocks are decoded once on miss, then every hit serves slices.
+/// Decoded postings of one `(table, pair)` row as two parallel columns — the
+/// trace of each posting and its `(ts_a, ts_b)` — sorted by `(trace, ts_a)`.
+///
+/// Greedy pairs never intertwine, so within one trace `ts_b` ascends with
+/// `ts_a`: a trace's run is sorted on both timestamps, which is what lets
+/// the join extend sorted partials with a forward-only merge. The trace
+/// column is what a `Cursor` gallops over; at 20 B per posting the columns
+/// are also the smallest shape the cache can hold.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PostingList {
-    postings: Vec<(TraceId, Ts, Ts)>,
+    traces: Vec<TraceId>,
+    spans: Vec<(Ts, Ts)>,
 }
 
 impl PostingList {
-    /// Build a list from decoded postings, stable-sorting by trace id so
-    /// per-trace posting order (the stored order) is preserved. Rows the
-    /// indexer wrote are already trace-sorted, so the common case is a
-    /// single verification pass with no sort at all.
-    pub fn from_postings(mut postings: Vec<(TraceId, Ts, Ts)>) -> Self {
-        if !postings.is_sorted_by_key(|p| p.0) {
-            postings.sort_by_key(|p| p.0);
+    /// Build a list from decoded postings, in any order. A row chunk the
+    /// indexer appended is sorted by `(trace, ts_a)`, so a one-chunk row
+    /// costs one verification pass while the columns fill; a row several
+    /// batches appended to, or the per-partition lists a multi-partition
+    /// read concatenates, is sorted once.
+    pub fn from_postings(postings: impl IntoIterator<Item = (TraceId, Ts, Ts)>) -> Self {
+        let postings = postings.into_iter();
+        let mut list = PostingList {
+            traces: Vec::with_capacity(postings.size_hint().0),
+            spans: Vec::with_capacity(postings.size_hint().0),
+        };
+        let (mut sorted, mut prev) = (true, None);
+        for (trace, a, b) in postings {
+            sorted &= prev <= Some((trace, a));
+            prev = Some((trace, a));
+            list.traces.push(trace);
+            list.spans.push((a, b));
         }
-        PostingList { postings }
+        // Cached lists are long-lived, so both columns end exact-size: an
+        // iterator without an exact size hint over-allocates while pushing,
+        // and an in-place `into_iter().map().collect()` would keep the
+        // wider tuples' allocation.
+        if sorted {
+            list.traces.shrink_to_fit();
+            list.spans.shrink_to_fit();
+        } else {
+            let mut rows: Vec<_> = list.iter().collect();
+            rows.sort_unstable();
+            list.traces = rows.iter().map(|&(t, _, _)| t).collect();
+            list.spans = rows.iter().map(|&(_, a, b)| (a, b)).collect();
+        }
+        list
     }
 
     /// Total postings across all traces.
     pub fn len(&self) -> usize {
-        self.postings.len()
+        self.traces.len()
     }
 
     /// True when the pair has no postings at all.
     pub fn is_empty(&self) -> bool {
-        self.postings.is_empty()
+        self.traces.is_empty()
     }
 
-    /// All postings, ascending by trace.
-    pub fn postings(&self) -> &[(TraceId, Ts, Ts)] {
-        &self.postings
-    }
-
-    /// Index of the first posting whose trace is `>= trace`, used by the
-    /// joins for next-match advancement.
-    pub fn seek(&self, trace: TraceId) -> usize {
-        self.postings.partition_point(|p| p.0 < trace)
-    }
-
-    /// The `(ts_a, ts_b)` occurrences of `trace`, in stored posting order
-    /// (empty slice when the trace has none). Found by `seek`, not a scan.
-    pub fn for_trace(&self, trace: TraceId) -> &[(TraceId, Ts, Ts)] {
-        let start = self.seek(trace);
-        let len = self.postings[start..].partition_point(|p| p.0 == trace);
-        &self.postings[start..start + len]
-    }
-
-    /// Whether `trace` has at least one occurrence (a single `seek` probe).
-    pub fn contains_trace(&self, trace: TraceId) -> bool {
-        self.postings.get(self.seek(trace)).is_some_and(|p| p.0 == trace)
+    /// Every `(trace, ts_a, ts_b)` posting, ascending by `(trace, ts_a)`.
+    pub fn iter(&self) -> impl Iterator<Item = (TraceId, Ts, Ts)> + '_ {
+        self.traces.iter().zip(&self.spans).map(|(&t, &(a, b))| (t, a, b))
     }
 
     /// Distinct traces with at least one occurrence, ascending.
     pub fn traces(&self) -> impl Iterator<Item = TraceId> + '_ {
-        let mut i = 0;
-        std::iter::from_fn(move || {
-            let trace = self.postings.get(i)?.0;
-            i += self.postings[i..].partition_point(|p| p.0 == trace);
-            Some(trace)
-        })
+        self.traces.chunk_by(|a, b| a == b).filter_map(|run| run.first().copied())
     }
 
-    /// Iterate `(trace, occurrences)` groups in ascending trace order.
-    pub fn by_trace(&self) -> impl Iterator<Item = (TraceId, &[(TraceId, Ts, Ts)])> + '_ {
-        let mut i = 0;
-        std::iter::from_fn(move || {
-            let trace = self.postings.get(i)?.0;
-            let len = self.postings[i..].partition_point(|p| p.0 == trace);
-            let group = &self.postings[i..i + len];
-            i += len;
-            Some((trace, group))
-        })
+    /// A forward-only reader positioned at the first trace.
+    pub(crate) fn cursor(&self) -> Cursor<'_> {
+        Cursor { traces: &self.traces, spans: &self.spans }
     }
+
+    /// Keep the traces of `traces` (ascending) that have an occurrence
+    /// here: one galloping walk over the trace column.
+    pub(crate) fn retain_traces(&self, traces: &mut Vec<TraceId>) {
+        let mut cursor = self.cursor();
+        traces.retain(|&t| !cursor.seek(t).is_empty());
+    }
+}
+
+/// Forward-only reader of a [`PostingList`]: the unread suffix of both
+/// columns. Traces must be sought in ascending order; each seek gallops
+/// from where the previous one stopped, so visiting `k` of a list's traces
+/// costs `O(k log(n / k))`, not `k` binary searches over the whole list.
+pub(crate) struct Cursor<'a> {
+    traces: &'a [TraceId],
+    spans: &'a [(Ts, Ts)],
+}
+
+impl<'a> Cursor<'a> {
+    /// The `(ts_a, ts_b)` run of `trace` (empty when it has none), leaving
+    /// the cursor just past it.
+    pub(crate) fn seek(&mut self, trace: TraceId) -> &'a [(Ts, Ts)] {
+        let start = gallop(self.traces, |&t| t < trace);
+        let from = self.traces.get(start..).unwrap_or_default();
+        let len = gallop(from, |&t| t == trace);
+        let (run, spans) =
+            self.spans.get(start..).and_then(|s| s.split_at_checked(len)).unwrap_or_default();
+        self.traces = from.get(len..).unwrap_or_default();
+        self.spans = spans;
+        run
+    }
+}
+
+/// Partition point of `s` under `pred` (true on a prefix, false after),
+/// found by doubling a probe from the front and then binary-searching the
+/// last doubling: `O(log d)` for a boundary `d` elements in.
+pub(crate) fn gallop<T>(s: &[T], pred: impl Fn(&T) -> bool) -> usize {
+    let mut bound = 1;
+    while s.get(bound - 1).is_some_and(&pred) {
+        bound *= 2;
+    }
+    let lo = bound / 2;
+    lo + s.get(lo..bound.min(s.len())).map_or(0, |w| w.partition_point(&pred))
 }
 
 /// Number of lock stripes (power of two).
@@ -330,13 +371,11 @@ mod tests {
     use super::*;
 
     fn grouped(trace: u32, occs: &[(Ts, Ts)]) -> Arc<PostingList> {
-        Arc::new(PostingList::from_postings(
-            occs.iter().map(|&(a, b)| (TraceId(trace), a, b)).collect(),
-        ))
+        Arc::new(PostingList::from_postings(occs.iter().map(|&(a, b)| (TraceId(trace), a, b))))
     }
 
     #[test]
-    fn posting_list_seeks_and_groups_by_trace() {
+    fn out_of_order_postings_come_out_sorted_by_trace_then_ts_a() {
         let l = PostingList::from_postings(vec![
             (TraceId(5), 10, 11),
             (TraceId(2), 3, 4),
@@ -344,19 +383,41 @@ mod tests {
             (TraceId(9), 7, 8),
         ]);
         assert_eq!(l.len(), 4);
-        assert_eq!(l.seek(TraceId(0)), 0);
-        assert_eq!(l.seek(TraceId(3)), 2);
-        assert_eq!(l.seek(TraceId(10)), 4);
-        // Stable sort: trace 2's stored posting order (3,4) then (1,2) holds.
-        assert_eq!(l.for_trace(TraceId(2)), &[(TraceId(2), 3, 4), (TraceId(2), 1, 2)]);
-        assert!(l.for_trace(TraceId(3)).is_empty());
-        assert!(l.contains_trace(TraceId(5)));
-        assert!(!l.contains_trace(TraceId(4)));
+        let want =
+            [(TraceId(2), 1, 2), (TraceId(2), 3, 4), (TraceId(5), 10, 11), (TraceId(9), 7, 8)];
+        assert_eq!(l.iter().collect::<Vec<_>>(), want);
         assert_eq!(l.traces().collect::<Vec<_>>(), vec![TraceId(2), TraceId(5), TraceId(9)]);
-        let groups: Vec<_> = l.by_trace().map(|(t, g)| (t, g.len())).collect();
-        assert_eq!(groups, vec![(TraceId(2), 2), (TraceId(5), 1), (TraceId(9), 1)]);
+        // Already-sorted input is taken as is.
+        assert_eq!(PostingList::from_postings(want), l);
+        // Both columns are exact-size, whatever the input's size hint.
+        let unsized_input = PostingList::from_postings(want.into_iter().filter(|_| true));
+        for list in [&l, &unsized_input] {
+            assert_eq!(list.traces.capacity(), list.len());
+            assert_eq!(list.spans.capacity(), list.len());
+        }
+
+        let mut cursor = l.cursor();
+        assert_eq!(cursor.seek(TraceId(0)), &[]);
+        assert_eq!(cursor.seek(TraceId(2)), &[(1, 2), (3, 4)]);
+        assert_eq!(cursor.seek(TraceId(4)), &[]);
+        assert_eq!(cursor.seek(TraceId(9)), &[(7, 8)]);
+        assert_eq!(cursor.seek(TraceId(10)), &[]);
+
+        let mut traces = vec![TraceId(1), TraceId(2), TraceId(3), TraceId(9)];
+        l.retain_traces(&mut traces);
+        assert_eq!(traces, vec![TraceId(2), TraceId(9)]);
         assert!(PostingList::default().is_empty());
         assert_eq!(PostingList::default().traces().count(), 0);
+        assert_eq!(PostingList::default().cursor().seek(TraceId(0)), &[]);
+    }
+
+    #[test]
+    fn gallop_finds_the_partition_point() {
+        let s: Vec<u32> = (0..100).collect();
+        for cut in 0..=101 {
+            assert_eq!(gallop(&s, |&x| x < cut), s.partition_point(|&x| x < cut), "cut {cut}");
+        }
+        assert_eq!(gallop(&[] as &[u32], |_| true), 0);
     }
 
     #[test]
@@ -366,7 +427,7 @@ mod tests {
         assert!(c.get(t, 7, 0).is_none());
         c.insert(t, 7, 0, grouped(1, &[(1, 2)]));
         let g = c.get(t, 7, 0).expect("hit");
-        assert_eq!(g.for_trace(TraceId(1)), &[(TraceId(1), 1, 2)]);
+        assert_eq!(g.iter().collect::<Vec<_>>(), [(TraceId(1), 1, 2)]);
         let s = c.stats();
         assert_eq!((s.hits, s.misses, s.entries), (1, 1, 1));
         assert!((s.hit_rate() - 0.5).abs() < 1e-12);

@@ -7,18 +7,24 @@
 //! score = total_completions / average_duration
 //! ```
 //!
-//! * **Accurate** runs a full pattern detection for every candidate
-//!   continuation (`Count.get(ev_p)` partners) — exact but increasingly
-//!   expensive with log size and alphabet.
+//! * **Accurate** scores every candidate continuation (`Count.get(ev_p)`
+//!   partners) exactly. The paper's Algorithm 3 re-detects `pattern + c`
+//!   per candidate; here the pattern is joined **once** and each candidate
+//!   costs one counting pass of the final partials against the postings
+//!   of `(ev_p, c)` — the extended pattern's join *is* the pattern's join
+//!   plus that one step. The pass yields the completions, the gap sum and
+//!   the `max_gap` filter without building a single match; a length-1
+//!   pattern reads them straight off the `(ev_p, c)` postings. The
+//!   per-candidate loop survives in the tests as the reference.
 //! * **Fast** ranks candidates purely from the precomputed `Count`
 //!   aggregates, upper-bounding completions by the weakest consecutive pair
 //!   of the query pattern.
 //! * **Hybrid** runs Fast, keeps the top-K candidates, re-evaluates those
-//!   with Accurate — the configurable trade-off of Figure 6/7 ("Setting
-//!   topK to l … degenerates to the accurate, while setting topK to 0 is
-//!   equal to the fast only alternative").
+//!   with Accurate's shared join — the configurable trade-off of Figure
+//!   6/7 ("Setting topK to l … degenerates to the accurate, while setting
+//!   topK to 0 is equal to the fast only alternative").
 
-use crate::detect::{get_completions, DetectResult, ReadCtx};
+use crate::detect::{self, get_completions, ReadCtx};
 use crate::{QueryError, Result};
 use seqdet_core::tables::{read_counts, COUNT, RCOUNT};
 use seqdet_log::{Activity, Pattern, Ts};
@@ -84,36 +90,47 @@ fn candidates<S: KvStore>(store: &S, last: Activity) -> Result<Vec<Activity>> {
     Ok(read_counts(store, COUNT, last)?.into_iter().map(|e| e.partner).collect())
 }
 
-/// Exact statistics of appending `candidate` to `pattern`.
-fn evaluate_exact<S: KvStore>(
+/// Exact statistics of appending each of `candidates` to `pattern`, in
+/// candidate order: the pattern is joined once, then each candidate is one
+/// counting pass against the postings of `(last, candidate)` — see the
+/// module docs.
+fn score_candidates<S: KvStore>(
     ctx: &ReadCtx<'_, S>,
     pattern: &Pattern,
-    candidate: Activity,
+    candidates: impl IntoIterator<Item = Activity>,
     max_gap: Option<Ts>,
-) -> Result<Proposition> {
-    let extended = pattern.extended(candidate);
-    let result: DetectResult = get_completions(ctx, &extended, None)?;
-    let mut kept = 0u64;
-    let mut gap_sum = 0u64;
-    for m in &result.matches {
-        // Every match of the extended pattern carries >= 2 timestamps,
-        // but that invariant lives in another crate — skip rather than
-        // index out of bounds if it is ever violated.
-        let &[.., prev, last] = m.timestamps.as_slice() else { continue };
-        let gap = last - prev;
-        if max_gap.is_some_and(|g| gap > g) {
-            continue;
-        }
-        kept += 1;
-        gap_sum += gap;
-    }
-    let avg = if kept == 0 { 0.0 } else { gap_sum as f64 / kept as f64 };
-    Ok(Proposition { activity: candidate, completions: kept, avg_duration: avg })
+) -> Result<Vec<Proposition>> {
+    let Some(last) = pattern.last() else {
+        return Err(QueryError::PatternTooShort { required: 1, actual: 0 });
+    };
+    let partials =
+        if pattern.len() >= 2 { Some(detect::join(ctx, pattern, None, None)?) } else { None };
+    candidates
+        .into_iter()
+        .map(|candidate| {
+            let next = ctx.postings(Activity::pair_key(last, candidate))?;
+            let (mut kept, mut gap_sum) = (0u64, 0u64);
+            let mut add = |gap: Ts| {
+                if max_gap.is_none_or(|g| gap <= g) {
+                    kept += 1;
+                    gap_sum += gap;
+                }
+            };
+            match &partials {
+                Some(partials) => detect::for_each_extension(partials, &next, |_, row, ts_b| {
+                    if let Some(&prev) = row.last() {
+                        add(ts_b - prev);
+                    }
+                }),
+                None => next.iter().for_each(|(_, a, b)| add(b - a)),
+            }
+            let avg = if kept == 0 { 0.0 } else { gap_sum as f64 / kept as f64 };
+            Ok(Proposition { activity: candidate, completions: kept, avg_duration: avg })
+        })
+        .collect()
 }
 
-/// Algorithm 3 — Accurate exploration. Each candidate re-detects the same
-/// extended-pattern prefix, so the posting cache pays off immediately: the
-/// prefix pairs are fetched once and hit for every further candidate.
+/// Algorithm 3 — Accurate exploration, on one shared join of the pattern.
 pub(crate) fn accurate<S: KvStore>(
     ctx: &ReadCtx<'_, S>,
     pattern: &Pattern,
@@ -122,11 +139,8 @@ pub(crate) fn accurate<S: KvStore>(
     let Some(last) = pattern.last() else {
         return Err(QueryError::PatternTooShort { required: 1, actual: 0 });
     };
-    let mut props = Vec::new();
-    for cand in candidates(ctx.store, last)? {
-        props.push(evaluate_exact(ctx, pattern, cand, max_gap)?);
-    }
-    Ok(sort_by_score(props))
+    let candidates = candidates(ctx.store, last)?;
+    Ok(sort_by_score(score_candidates(ctx, pattern, candidates, max_gap)?))
 }
 
 /// Algorithm 4 — Fast (heuristic) exploration.
@@ -174,11 +188,8 @@ pub(crate) fn hybrid<S: KvStore>(
     if k == 0 {
         return Ok(pre);
     }
-    let mut props = Vec::with_capacity(k.min(pre.len()));
-    for p in pre.into_iter().take(k) {
-        props.push(evaluate_exact(ctx, pattern, p.activity, max_gap)?);
-    }
-    Ok(sort_by_score(props))
+    let top = pre.into_iter().take(k).map(|p| p.activity);
+    Ok(sort_by_score(score_candidates(ctx, pattern, top, max_gap)?))
 }
 
 /// §7 extension — continuation with the candidate inserted at an arbitrary
@@ -361,6 +372,103 @@ mod tests {
         assert_eq!(props.len(), 1);
         assert_eq!(props[0].activity, act(&ix, "A"));
         assert_eq!(props[0].completions, 10);
+    }
+
+    /// The paper's literal Algorithm 3 for one candidate — detect
+    /// `pattern + candidate` from scratch and read the final gaps off its
+    /// matches — kept as the reference the shared join is compared against.
+    fn evaluate_exact<S: KvStore>(
+        ctx: &ReadCtx<'_, S>,
+        pattern: &Pattern,
+        candidate: Activity,
+        max_gap: Option<Ts>,
+    ) -> Result<Proposition> {
+        let extended = pattern.extended(candidate);
+        let result = get_completions(ctx, &extended, None)?;
+        let mut kept = 0u64;
+        let mut gap_sum = 0u64;
+        for m in &result.matches {
+            let &[.., prev, last] = m.timestamps.as_slice() else { continue };
+            let gap = last - prev;
+            if max_gap.is_some_and(|g| gap > g) {
+                continue;
+            }
+            kept += 1;
+            gap_sum += gap;
+        }
+        let avg = if kept == 0 { 0.0 } else { gap_sum as f64 / kept as f64 };
+        Ok(Proposition { activity: candidate, completions: kept, avg_duration: avg })
+    }
+
+    mod properties {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+            #[test]
+            fn shared_join_equals_per_candidate_reference(
+                traces in prop::collection::vec(prop::collection::vec(0u32..5, 0..=40), 0..=12),
+                pat in prop::collection::vec(0u32..6, 1..=4),
+                gap in 1u64..=10,
+            ) {
+                let mut b = EventLogBuilder::new();
+                for (t, acts) in traces.iter().enumerate() {
+                    for (i, a) in acts.iter().enumerate() {
+                        b.add(&format!("t{t}"), &format!("a{a}"), i as Ts + 1);
+                    }
+                }
+                let log = b.build();
+                for policy in [Policy::StrictContiguity, Policy::SkipTillNextMatch] {
+                    let mut ix = Indexer::new(IndexConfig::new(policy));
+                    ix.index_log(&log).unwrap();
+                    let store = ix.store();
+                    let tables = active_index_tables(store.as_ref());
+                    let ctx = ReadCtx::plain(store.as_ref(), &tables);
+                    // `a5` is never drawn: it has no catalog id, and any
+                    // unused id stands in for it.
+                    let pattern = Pattern::new(
+                        pat.iter()
+                            .map(|a| {
+                                ix.catalog().activity(&format!("a{a}")).unwrap_or(Activity(u32::MAX))
+                            })
+                            .collect(),
+                    );
+                    let cands = candidates(store.as_ref(), pattern.last().unwrap()).unwrap();
+                    for max_gap in [None, Some(gap)] {
+                        let reference = |take: usize| {
+                            sort_by_score(
+                                cands
+                                    .iter()
+                                    .take(take)
+                                    .map(|&c| evaluate_exact(&ctx, &pattern, c, max_gap).unwrap())
+                                    .collect(),
+                            )
+                        };
+                        let at = format!("{policy:?} max_gap {max_gap:?}");
+                        prop_assert_eq!(
+                            accurate(&ctx, &pattern, max_gap).unwrap(),
+                            reference(cands.len()),
+                            "{}", at
+                        );
+                        for k in [0, 1, 5, cands.len()] {
+                            let pre = fast(store.as_ref(), &pattern).unwrap();
+                            let want = if k == 0 {
+                                pre
+                            } else {
+                                sort_by_score(
+                                    pre.iter()
+                                        .take(k)
+                                        .map(|p| evaluate_exact(&ctx, &pattern, p.activity, max_gap).unwrap())
+                                        .collect(),
+                                )
+                            };
+                            prop_assert_eq!(hybrid(&ctx, &pattern, k, max_gap).unwrap(), want, "{} k {}", at, k);
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

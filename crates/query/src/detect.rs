@@ -24,26 +24,42 @@
 //! Posting lists are fetched through a [`ReadCtx`]: per `(table, pair)` row
 //! the context first consults the generation-stamped [`PostingCache`], and
 //! only on a miss decodes the stored row with the core kernel
-//! ([`seqdet_core::decode_postings_v2_into`]) into a trace-sorted
-//! [`PostingList`]. Join steps then advance to each partial's trace with
-//! [`PostingList::for_trace`] — a binary-search `seek`, not a hash probe or
-//! scan.
+//! ([`seqdet_core::decode_postings_v2_into`]) into a [`PostingList`] — a
+//! trace column beside a `(ts_a, ts_b)` column, sorted by `(trace, ts_a)`.
 //!
-//! The join itself is one sequential loop on the calling thread: per trace,
-//! build a `ts_a → ts_b` map of the next pair's postings and extend each
-//! partial in `O(1)`. (Timestamps are unique within a trace, and greedy
-//! pair occurrences never share their first event, so the map is
-//! injective.) It stays on one thread because spawning workers per join
-//! step costs more than the step (EXPERIMENTS.md, *Closed ablations*). The
-//! paper's literal nested-loop pseudocode lives in this module's tests as
-//! the reference the hash join is compared against.
+//! ## The join
+//!
+//! One sequential merge join on the calling thread (spawning workers per
+//! step costs more than the step — EXPERIMENTS.md, *Closed ablations*):
+//!
+//! 1. Unless prefix results are wanted, the trace sets of all `p − 1`
+//!    lists are intersected first, rarest list first, by galloping over
+//!    the trace columns; only surviving traces ever get a partial.
+//! 2. Partials live in one flat buffer of stride `k` (plus a trace
+//!    column), grouped by trace and ascending by last timestamp within a
+//!    trace. Two such buffers are reused across steps.
+//! 3. A step walks the partials and the next list's trace runs with
+//!    forward-only cursors: the partials' last timestamps and the run's
+//!    `ts_a`s are both ascending, and greedy pairs never share a first
+//!    event, so each partial extends at most once, by a gallop from where
+//!    the previous partial stopped — no hash map, no per-partial
+//!    allocation. Since a run's `ts_b`s ascend with its `ts_a`s, extended
+//!    partials stay in last-timestamp order.
+//! 4. [`PatternMatch`]es are materialised only at the end, one exact-size
+//!    copy per match, already in `(trace, end)` order.
+//!
+//! Continuation (Algorithm 3) reuses steps 1–3: it joins the pattern once
+//! and counts each candidate's extension off the final partials (see
+//! [`crate::continuation`]). The paper's literal nested-loop pseudocode
+//! lives in this module's tests as the reference the merge join is
+//! compared against.
 
-use crate::cache::{PostingCache, PostingList};
+use crate::cache::{gallop, PostingCache, PostingList};
 use crate::Result;
 use seqdet_core::PairKey;
 use seqdet_exec::Executor;
 use seqdet_log::{Activity, Pattern, TraceId, Ts};
-use seqdet_storage::{Coverage, FxHashMap, KvStore, StoreMetrics, TableId};
+use seqdet_storage::{Coverage, KvStore, StoreMetrics, TableId};
 use std::sync::Arc;
 
 /// One completion of the query pattern in one trace: the matched events'
@@ -140,30 +156,29 @@ impl<'a, S: KvStore> ReadCtx<'a, S> {
         }
     }
 
-    /// Decoded, trace-sorted postings of `key` across every active
-    /// partition.
+    /// Decoded postings of `key` across every active partition, sorted by
+    /// `(trace, ts_a)`.
     ///
     /// The common single-partition case returns the cached [`Arc`] without
     /// copying; with multiple partitions the per-partition lists (each
-    /// individually cached) are concatenated in partition order and
-    /// re-sorted stably, so a trace's occurrences stay in partition order.
+    /// individually cached) are concatenated and sorted into one.
     pub fn postings(&self, key: PairKey) -> Result<Arc<PostingList>> {
         if let [table] = self.tables {
             return self.postings_one(*table, key);
         }
-        let mut merged = Vec::new();
-        for &table in self.tables {
-            let list = self.postings_one(table, key)?;
-            merged.extend_from_slice(list.postings());
-        }
-        Ok(Arc::new(PostingList::from_postings(merged)))
+        let lists: Vec<_> = self
+            .tables
+            .iter()
+            .map(|&table| self.postings_one(table, key))
+            .collect::<Result<_>>()?;
+        Ok(Arc::new(PostingList::from_postings(lists.iter().flat_map(|l| l.iter()))))
     }
 
     /// Traces with at least one posting for *every* pair of `pairs`,
-    /// ascending: the first pair's trace set, then a probe cascade — each
-    /// further posting list retains the candidates it contains, by a
-    /// seek-based membership probe. The result is order-independent;
-    /// callers that know selectivities pass the rarest pair first.
+    /// ascending: the first pair's trace set, then each further posting
+    /// list retains the candidates it contains, by one galloping walk over
+    /// its trace column. The result is order-independent; callers that
+    /// know selectivities pass the rarest pair first.
     pub fn traces_with_all(
         &self,
         pairs: impl IntoIterator<Item = (Activity, Activity)>,
@@ -175,8 +190,7 @@ impl<'a, S: KvStore> ReadCtx<'a, S> {
             if traces.is_empty() {
                 break;
             }
-            let list = self.postings(Activity::pair_key(a, b))?;
-            traces.retain(|&t| list.contains_trace(t));
+            self.postings(Activity::pair_key(a, b))?.retain_traces(&mut traces);
         }
         Ok(traces)
     }
@@ -194,7 +208,7 @@ impl<'a, S: KvStore> ReadCtx<'a, S> {
         Ok(list)
     }
 
-    /// Miss path: decode the stored row into a trace-sorted list, through
+    /// Miss path: decode the stored row into a sorted list, through
     /// the core kernel and this worker's reusable posting buffer, so the
     /// only allocation is the escaping list itself.
     ///
@@ -215,14 +229,10 @@ impl<'a, S: KvStore> ReadCtx<'a, S> {
                 m.record_cursor_decode(buf.len());
                 m.record_decoded_bytes(row.len());
             }
-            let postings = buf.iter().map(|p| (p.trace, p.ts_a, p.ts_b)).collect();
-            Ok(PostingList::from_postings(postings))
+            Ok(PostingList::from_postings(buf.iter().map(|p| (p.trace, p.ts_a, p.ts_b))))
         })
     }
 }
-
-/// Partial matches, per trace, in ascending trace order.
-type Partials = Vec<(TraceId, Vec<Vec<Ts>>)>;
 
 /// Detect all completions of `pattern` (length ≥ 2), optionally collecting
 /// the intermediate result after each join step (the "sub-pattern
@@ -243,65 +253,141 @@ pub(crate) fn get_completions_within<S: KvStore>(
     ctx: &ReadCtx<'_, S>,
     pattern: &Pattern,
     window: Option<Ts>,
-    mut on_prefix: Option<&mut Vec<DetectResult>>,
+    on_prefix: Option<&mut Vec<DetectResult>>,
 ) -> Result<DetectResult> {
-    let lists = pair_postings(ctx, pattern)?;
-    let mut partials = first_partials(&lists[0], window);
-    if let Some(prefixes) = on_prefix.as_deref_mut() {
-        prefixes.push(collect(&partials));
-    }
-
-    // The next pair's `ts_a → ts_b` occurrences of one trace; built once,
-    // refilled per trace.
-    let mut by_start: FxHashMap<Ts, Ts> = FxHashMap::default();
-    for next in &lists[1..] {
-        partials.retain_mut(|(trace, parts)| {
-            // Next-match advancement seeks straight to the partial's trace
-            // in the sorted posting list.
-            by_start.clear();
-            by_start.extend(next.for_trace(*trace).iter().map(|&(_, a, b)| (a, b)));
-            parts.retain_mut(|part| {
-                let Some(&ts_b) = part.last().and_then(|last| by_start.get(last)) else {
-                    return false;
-                };
-                if window.is_some_and(|w| ts_b - part[0] > w) {
-                    return false;
-                }
-                part.push(ts_b);
-                true
-            });
-            !parts.is_empty()
-        });
-        if let Some(prefixes) = on_prefix.as_deref_mut() {
-            prefixes.push(collect(&partials));
-        }
-    }
-    Ok(collect(&partials))
+    Ok(join(ctx, pattern, window, on_prefix)?.to_result())
 }
 
-/// Postings of every consecutive pair of `pattern` (length ≥ 2), fetched up
-/// front — the join loop reads each exactly once anyway.
-fn pair_postings<S: KvStore>(
+/// Partial matches after a join step, flat: row `i` is trace `traces[i]`
+/// and the `width` timestamps at `ts[i * width..]`. Rows are grouped by
+/// trace, ascending, and ascend by last timestamp within a trace — the
+/// order the next step's merge walks and the order results are returned in.
+pub(crate) struct FlatPartials {
+    width: usize,
+    traces: Vec<TraceId>,
+    ts: Vec<Ts>,
+}
+
+impl FlatPartials {
+    fn new(width: usize) -> Self {
+        FlatPartials { width, traces: Vec::new(), ts: Vec::new() }
+    }
+
+    fn reset(&mut self, width: usize) {
+        self.width = width;
+        self.traces.clear();
+        self.ts.clear();
+    }
+
+    fn push(&mut self, trace: TraceId, row: &[Ts], next: Ts) {
+        self.traces.push(trace);
+        self.ts.extend_from_slice(row);
+        self.ts.push(next);
+    }
+
+    fn rows(&self) -> impl Iterator<Item = (TraceId, &[Ts])> + '_ {
+        self.traces.iter().copied().zip(self.ts.chunks_exact(self.width.max(1)))
+    }
+
+    fn to_result(&self) -> DetectResult {
+        let matches = self
+            .rows()
+            .map(|(trace, row)| PatternMatch { trace, timestamps: row.to_vec() })
+            .collect();
+        DetectResult { matches, coverage: Coverage::Full }
+    }
+}
+
+/// Algorithm 2's chained join of `pattern` (length ≥ 2) into its final
+/// partials — see the module docs for the four stages. With `on_prefix`
+/// every step's partials are recorded, so the rarest-first trace
+/// intersection (which would drop prefix matches in traces a later pair
+/// misses) is skipped.
+pub(crate) fn join<S: KvStore>(
     ctx: &ReadCtx<'_, S>,
     pattern: &Pattern,
-) -> Result<Vec<Arc<PostingList>>> {
-    debug_assert!(pattern.len() >= 2, "get_completions requires a pattern of length >= 2");
-    pattern.consecutive_pairs().map(|(a, b)| ctx.postings(Activity::pair_key(a, b))).collect()
+    window: Option<Ts>,
+    mut on_prefix: Option<&mut Vec<DetectResult>>,
+) -> Result<FlatPartials> {
+    debug_assert!(pattern.len() >= 2, "the join requires a pattern of length >= 2");
+    let lists: Vec<Arc<PostingList>> = pattern
+        .consecutive_pairs()
+        .map(|(a, b)| ctx.postings(Activity::pair_key(a, b)))
+        .collect::<Result<_>>()?;
+    let mut partials = FlatPartials::new(2);
+    let Some((first, rest)) = lists.split_first() else { return Ok(partials) };
+    let in_window = |start: Ts, end: Ts| window.is_none_or(|w| end - start <= w);
+
+    // `previous ← Index.get(ev_1, ev_2)`, restricted to the common traces.
+    if on_prefix.is_some() || rest.is_empty() {
+        for (trace, a, b) in first.iter().filter(|&(_, a, b)| in_window(a, b)) {
+            partials.push(trace, &[a], b);
+        }
+    } else {
+        let mut cursor = first.cursor();
+        for trace in common_traces(&lists) {
+            for &(a, b) in cursor.seek(trace).iter().filter(|&&(a, b)| in_window(a, b)) {
+                partials.push(trace, &[a], b);
+            }
+        }
+    }
+    if let Some(prefixes) = on_prefix.as_deref_mut() {
+        prefixes.push(partials.to_result());
+    }
+
+    let mut next = FlatPartials::new(3);
+    for list in rest {
+        next.reset(partials.width + 1);
+        for_each_extension(&partials, list, |trace, row, ts_b| {
+            if row.first().is_some_and(|&start| in_window(start, ts_b)) {
+                next.push(trace, row, ts_b);
+            }
+        });
+        std::mem::swap(&mut partials, &mut next);
+        if let Some(prefixes) = on_prefix.as_deref_mut() {
+            prefixes.push(partials.to_result());
+        }
+    }
+    Ok(partials)
 }
 
-/// `previous ← Index.get(ev_1, ev_2)`, as per-trace partial matches.
-fn first_partials(first: &PostingList, window: Option<Ts>) -> Partials {
-    first
-        .by_trace()
-        .filter_map(|(trace, occs)| {
-            let parts: Vec<Vec<Ts>> = occs
-                .iter()
-                .filter(|&&(_, a, b)| window.is_none_or(|w| b - a <= w))
-                .map(|&(_, a, b)| vec![a, b])
-                .collect();
-            (!parts.is_empty()).then_some((trace, parts))
-        })
-        .collect()
+/// Traces present in every list, ascending: the rarest list's trace set,
+/// narrowed by one galloping walk over each other list's trace column.
+fn common_traces(lists: &[Arc<PostingList>]) -> Vec<TraceId> {
+    let mut by_size: Vec<&PostingList> = lists.iter().map(Arc::as_ref).collect();
+    by_size.sort_by_key(|l| l.len());
+    let Some((rarest, others)) = by_size.split_first() else { return Vec::new() };
+    let mut traces: Vec<TraceId> = rarest.traces().collect();
+    for list in others {
+        list.retain_traces(&mut traces);
+    }
+    traces
+}
+
+/// One join step's merge: hands `f` each row of `partials` whose last
+/// timestamp is the `ts_a` of a posting of `next` in the same trace, with
+/// that posting's `ts_b`, in row order. A cursor seeks each trace's run
+/// once and the position within the run only moves forward.
+pub(crate) fn for_each_extension(
+    partials: &FlatPartials,
+    next: &PostingList,
+    mut f: impl FnMut(TraceId, &[Ts], Ts),
+) {
+    let mut cursor = next.cursor();
+    let (mut current, mut run): (Option<TraceId>, &[(Ts, Ts)]) = (None, &[]);
+    for (trace, row) in partials.rows() {
+        if current != Some(trace) {
+            current = Some(trace);
+            run = cursor.seek(trace);
+        }
+        let Some(&last) = row.last() else { continue };
+        run = run.get(gallop(run, |&(a, _)| a < last)..).unwrap_or_default();
+        if let Some(&(a, b)) = run.first() {
+            if a == last {
+                f(trace, row, b);
+            }
+        }
+    }
 }
 
 /// Detect the traces/positions of a single activity (`p == 1`). The pair
@@ -322,17 +408,6 @@ pub(crate) fn detect_single<S: KvStore>(store: &S, activity: Activity) -> Result
     }
     matches.sort_by_key(|m| (m.trace, m.end()));
     Ok(DetectResult { matches, coverage: Coverage::Full })
-}
-
-fn collect(partials: &Partials) -> DetectResult {
-    let mut matches: Vec<PatternMatch> = partials
-        .iter()
-        .flat_map(|(trace, parts)| {
-            parts.iter().map(move |p| PatternMatch { trace: *trace, timestamps: p.clone() })
-        })
-        .collect();
-    matches.sort_by_key(|m| (m.trace, m.end()));
-    DetectResult { matches, coverage: Coverage::Full }
 }
 
 #[cfg(test)]
@@ -441,40 +516,48 @@ mod tests {
         assert!(s.hits >= 3, "⟨A,B⟩ ×2 and ⟨B,C⟩ re-reads hit: {s:?}");
     }
 
-    /// Algorithm 2's literal pseudocode — for every partial, scan the
-    /// trace's posting list — kept as the reference the production hash
-    /// join is compared against.
+    /// Algorithm 2's literal pseudocode — for every partial, scan the next
+    /// pair's whole posting list — kept as the reference the production
+    /// merge join is compared against.
     fn nested_loop_completions<S: KvStore>(
         ctx: &ReadCtx<'_, S>,
         pattern: &Pattern,
         window: Option<Ts>,
         mut on_prefix: Option<&mut Vec<DetectResult>>,
     ) -> Result<DetectResult> {
-        let lists = pair_postings(ctx, pattern)?;
-        let mut partials = first_partials(&lists[0], window);
+        fn collect(partials: &[(TraceId, Vec<Ts>)]) -> DetectResult {
+            let mut matches: Vec<PatternMatch> = partials
+                .iter()
+                .map(|(trace, p)| PatternMatch { trace: *trace, timestamps: p.clone() })
+                .collect();
+            matches.sort_by_key(|m| (m.trace, m.end()));
+            DetectResult { matches, coverage: Coverage::Full }
+        }
+        let lists: Vec<Arc<PostingList>> = pattern
+            .consecutive_pairs()
+            .map(|(a, b)| ctx.postings(Activity::pair_key(a, b)))
+            .collect::<Result<_>>()?;
+        let mut partials: Vec<(TraceId, Vec<Ts>)> = lists[0]
+            .iter()
+            .filter(|&(_, a, b)| window.is_none_or(|w| b - a <= w))
+            .map(|(trace, a, b)| (trace, vec![a, b]))
+            .collect();
         if let Some(prefixes) = on_prefix.as_deref_mut() {
             prefixes.push(collect(&partials));
         }
         for next in &lists[1..] {
-            partials = partials
-                .iter()
-                .map(|(trace, parts)| {
-                    let occs = next.for_trace(*trace);
-                    let mut extended = Vec::new();
-                    for part in parts {
-                        let Some(&last) = part.last() else { continue };
-                        for &(_, a, b) in occs {
-                            if a == last && window.is_none_or(|w| b - part[0] <= w) {
-                                let mut next_part = part.clone();
-                                next_part.push(b);
-                                extended.push(next_part);
-                            }
-                        }
+            let mut extended = Vec::new();
+            for (trace, part) in &partials {
+                let last = *part.last().unwrap();
+                for (t, a, b) in next.iter() {
+                    if t == *trace && a == last && window.is_none_or(|w| b - part[0] <= w) {
+                        let mut next_part = part.clone();
+                        next_part.push(b);
+                        extended.push((t, next_part));
                     }
-                    (*trace, extended)
-                })
-                .filter(|(_, parts)| !parts.is_empty())
-                .collect();
+                }
+            }
+            partials = extended;
             if let Some(prefixes) = on_prefix.as_deref_mut() {
                 prefixes.push(collect(&partials));
             }
@@ -485,48 +568,97 @@ mod tests {
     mod properties {
         use super::*;
         use proptest::prelude::*;
+        use std::collections::BTreeSet;
+
+        /// `traces` indexed under `policy`, as one batch or split at the
+        /// event positions `cuts` into batches that extend the same traces,
+        /// optionally partitioned by `period`.
+        fn build(
+            traces: &[Vec<u32>],
+            policy: Policy,
+            cuts: &[usize],
+            period: Option<Ts>,
+        ) -> Indexer {
+            let mut cfg = IndexConfig::new(policy);
+            if let Some(p) = period {
+                cfg = cfg.with_partition_period(p);
+            }
+            let mut ix = Indexer::new(cfg);
+            let mut bounds: Vec<usize> = cuts.to_vec();
+            bounds.sort_unstable();
+            bounds.push(usize::MAX);
+            let mut lo = 0;
+            for hi in bounds {
+                let mut b = EventLogBuilder::new();
+                for (t, acts) in traces.iter().enumerate() {
+                    for (i, a) in acts.iter().enumerate().take(hi).skip(lo) {
+                        b.add(&format!("t{t}"), &format!("a{a}"), i as Ts + 1);
+                    }
+                }
+                ix.index_log(&b.build()).unwrap();
+                lo = hi;
+            }
+            ix
+        }
 
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(256))]
             #[test]
-            fn hash_join_equals_nested_loop_reference(
+            fn merge_join_equals_nested_loop_reference(
                 traces in prop::collection::vec(prop::collection::vec(0u32..5, 0..=40), 0..=12),
                 pat in prop::collection::vec(0u32..5, 2..=6),
+                cuts in prop::collection::vec(0usize..=40, 1..=3),
+                period in 1u64..=12,
             ) {
-                let mut b = EventLogBuilder::new();
-                for (t, acts) in traces.iter().enumerate() {
-                    for (i, a) in acts.iter().enumerate() {
-                        b.add(&format!("t{t}"), &format!("a{a}"), i as Ts + 1);
-                    }
-                }
-                let log = b.build();
+                let layouts: [(&[usize], Option<Ts>); 3] =
+                    [(&[], None), (&cuts, None), (&cuts, Some(period))];
                 for policy in [Policy::StrictContiguity, Policy::SkipTillNextMatch] {
-                    let mut ix = Indexer::new(IndexConfig::new(policy));
-                    ix.index_log(&log).unwrap();
-                    let store = ix.store();
-                    let tables = seqdet_core::indexer::active_index_tables(store.as_ref());
-                    let ctx = ReadCtx::plain(store.as_ref(), &tables);
-                    // An activity the log never drew has no catalog id and
-                    // no postings; any unused id stands in for it.
-                    let pattern = Pattern::new(
-                        pat.iter()
-                            .map(|a| {
-                                ix.catalog().activity(&format!("a{a}")).unwrap_or(Activity(u32::MAX))
-                            })
-                            .collect(),
-                    );
-                    for window in [None, Some(3), Some(1000)] {
-                        let expected = nested_loop_completions(&ctx, &pattern, window, None).unwrap();
-                        let got = get_completions_within(&ctx, &pattern, window, None).unwrap();
-                        prop_assert_eq!(&got, &expected, "{:?} window {:?}", policy, window);
+                    for (cuts, period) in layouts {
+                        let ix = build(&traces, policy, cuts, period);
+                        let store = ix.store();
+                        let tables = seqdet_core::indexer::active_index_tables(store.as_ref());
+                        let ctx = ReadCtx::plain(store.as_ref(), &tables);
+                        let at = format!("{policy:?} cuts {cuts:?} period {period:?}");
+                        // An activity the log never drew has no catalog id
+                        // and no postings; any unused id stands in for it.
+                        let pattern = Pattern::new(
+                            pat.iter()
+                                .map(|a| {
+                                    ix.catalog().activity(&format!("a{a}")).unwrap_or(Activity(u32::MAX))
+                                })
+                                .collect(),
+                        );
 
-                        let (mut want, mut prefixes) = (Vec::new(), Vec::new());
-                        nested_loop_completions(&ctx, &pattern, window, Some(&mut want)).unwrap();
-                        let got =
-                            get_completions_within(&ctx, &pattern, window, Some(&mut prefixes)).unwrap();
-                        prop_assert_eq!(&got, &expected, "{:?} window {:?}", policy, window);
-                        prop_assert_eq!(&prefixes, &want, "{:?} window {:?}", policy, window);
-                        prop_assert_eq!(prefixes.len(), pattern.len() - 1);
+                        // The order the merge relies on: by (trace, ts_a),
+                        // with ts_b ascending inside a trace's run.
+                        let mut common: Option<BTreeSet<TraceId>> = None;
+                        for (a, b) in pattern.consecutive_pairs() {
+                            let list = ctx.postings(Activity::pair_key(a, b)).unwrap();
+                            let rows: Vec<_> = list.iter().collect();
+                            prop_assert!(
+                                rows.windows(2).all(|w| w[0].0 < w[1].0
+                                    || (w[0].0 == w[1].0 && w[0].1 < w[1].1 && w[0].2 < w[1].2)),
+                                "{}: {:?}", at, rows
+                            );
+                            let set: BTreeSet<TraceId> = rows.iter().map(|r| r.0).collect();
+                            common = Some(common.map_or(set.clone(), |c| &c & &set));
+                        }
+                        let all = ctx.traces_with_all(pattern.consecutive_pairs()).unwrap();
+                        prop_assert_eq!(all, common.unwrap().into_iter().collect::<Vec<_>>(), "{}", at);
+
+                        for window in [None, Some(3), Some(1000)] {
+                            let expected = nested_loop_completions(&ctx, &pattern, window, None).unwrap();
+                            let got = get_completions_within(&ctx, &pattern, window, None).unwrap();
+                            prop_assert_eq!(&got, &expected, "{} window {:?}", at, window);
+
+                            let (mut want, mut prefixes) = (Vec::new(), Vec::new());
+                            nested_loop_completions(&ctx, &pattern, window, Some(&mut want)).unwrap();
+                            let got =
+                                get_completions_within(&ctx, &pattern, window, Some(&mut prefixes)).unwrap();
+                            prop_assert_eq!(&got, &expected, "{} window {:?}", at, window);
+                            prop_assert_eq!(&prefixes, &want, "{} window {:?}", at, window);
+                            prop_assert_eq!(prefixes.len(), pattern.len() - 1);
+                        }
                     }
                 }
             }

@@ -79,7 +79,7 @@ fn grouped(value: u64) -> Arc<PostingList> {
 }
 
 fn ungroup(g: &PostingList) -> u64 {
-    g.for_trace(TraceId(0))[0].1
+    g.iter().next().map_or(u64::MAX, |(_, ts_a, _)| ts_a)
 }
 
 /// Reader progress: 0 = snapshot, 1 = cache probe, 2 = store read,
