@@ -231,8 +231,8 @@ pub struct RichTraceMatches {
 
 /// The oracle's event-by-event backtracking matcher over one trace. Kept
 /// deliberately naive — zones and Kleene absorption are recomputed by
-/// scanning on every probe — so it shares no structure with the candidate
-/// lists + binary-search verifier in `seqdet-query`.
+/// scanning on every probe — so it shares no structure with the
+/// position-list evaluator in `seqdet-query`.
 struct RichScan<'p, 'e> {
     elems: &'p [PatternElem],
     /// Indices into `elems` of the positive elements, in order.

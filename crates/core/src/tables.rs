@@ -130,15 +130,24 @@ pub fn encode_events(events: &[Event]) -> Vec<u8> {
 
 /// Decode a `Seq` row.
 pub fn decode_events(row: &[u8]) -> Result<Vec<Event>> {
-    let mut d = Dec::new(row);
-    let mut out = Vec::with_capacity(row.len() / 12);
-    while !d.is_done() {
-        let (Some(a), Some(ts)) = (d.u32(), d.u64()) else {
-            return Err(corrupt("Seq", row.len()));
-        };
-        out.push(Event::new(Activity(a), ts));
-    }
+    let mut out = Vec::new();
+    decode_events_into(row, &mut out)?;
     Ok(out)
+}
+
+/// Decode a `Seq` row by *appending* to `out` — the allocation-free form
+/// for a caller that reuses one buffer across rows. A row that is not a
+/// whole number of 12-byte records is `Corrupt`, and then nothing is
+/// appended.
+pub fn decode_events_into(row: &[u8], out: &mut Vec<Event>) -> Result<()> {
+    let (records, torn) = row.as_chunks::<12>();
+    if !torn.is_empty() {
+        return Err(corrupt("Seq", row.len()));
+    }
+    out.extend(records.iter().map(|&[a0, a1, a2, a3, ts @ ..]| {
+        Event::new(Activity(u32::from_le_bytes([a0, a1, a2, a3])), u64::from_le_bytes(ts))
+    }));
+    Ok(())
 }
 
 /// Append `events` to the stored sequence of `trace`.
@@ -323,15 +332,24 @@ pub fn encode_attrs(entries: &[AttrEntry]) -> Vec<u8> {
 
 /// Decode an `Attrs` row.
 pub fn decode_attrs(row: &[u8]) -> Result<Vec<AttrEntry>> {
-    let mut d = Dec::new(row);
-    let mut out = Vec::with_capacity(row.len() / 20);
-    while !d.is_done() {
-        let (Some(ts), Some(a), Some(v)) = (d.u64(), d.u32(), d.u64()) else {
-            return Err(corrupt("Attrs", row.len()));
-        };
-        out.push((ts, Attr(a), v as i64));
-    }
+    let mut out = Vec::new();
+    decode_attrs_into(row, &mut out)?;
     Ok(out)
+}
+
+/// Decode an `Attrs` row by *appending* to `out` (see
+/// [`decode_events_into`]). A row that is not a whole number of 20-byte
+/// records is `Corrupt`, and then nothing is appended.
+pub fn decode_attrs_into(row: &[u8], out: &mut Vec<AttrEntry>) -> Result<()> {
+    let (records, torn) = row.as_chunks::<20>();
+    if !torn.is_empty() {
+        return Err(corrupt("Attrs", row.len()));
+    }
+    out.extend(records.iter().map(|&[t0, t1, t2, t3, t4, t5, t6, t7, a0, a1, a2, a3, v @ ..]| {
+        let ts = u64::from_le_bytes([t0, t1, t2, t3, t4, t5, t6, t7]);
+        (ts, Attr(u32::from_le_bytes([a0, a1, a2, a3])), i64::from_le_bytes(v))
+    }));
+    Ok(())
 }
 
 /// Append attribute entries to the `Attrs` row of `trace`. A no-op for an

@@ -13,11 +13,11 @@
 use proptest::prelude::*;
 use seqdet_core::postings::{decode_index_row, decode_postings_v2, encode_postings_v2};
 use seqdet_core::tables::{
-    decode_attrs, decode_counts, decode_events, decode_last_checked, decode_postings, encode_attrs,
-    encode_counts, encode_events, encode_last_checked, encode_postings, CountEntry,
-    LastCheckedEntry, Posting,
+    decode_attrs, decode_attrs_into, decode_counts, decode_events, decode_events_into,
+    decode_last_checked, decode_postings, encode_attrs, encode_counts, encode_events,
+    encode_last_checked, encode_postings, CountEntry, LastCheckedEntry, Posting,
 };
-use seqdet_core::{decode_postings_v2_into, PostingFormat};
+use seqdet_core::{decode_postings_v2_into, CoreError, PostingFormat};
 use seqdet_log::{Activity, Attr, AttrEntry, Event, TraceId};
 
 fn events_strategy() -> impl Strategy<Value = Vec<Event>> {
@@ -54,6 +54,18 @@ fn encode_index_row(postings: &[Posting]) -> Vec<u8> {
 /// its registered roundtrip exercises the appending form on both sides.
 fn encode_postings_v2_into(postings: &[Posting], out: &mut Vec<u8>) {
     out.extend_from_slice(&encode_postings_v2(postings));
+}
+
+/// Appending encoder counterpart of [`decode_events_into`]: the `Seq`
+/// decoder appends to a reused buffer, so its roundtrip appends on both
+/// sides.
+fn encode_events_into(events: &[Event], out: &mut Vec<u8>) {
+    out.extend_from_slice(&encode_events(events));
+}
+
+/// Appending encoder counterpart of [`decode_attrs_into`].
+fn encode_attrs_into(entries: &[AttrEntry], out: &mut Vec<u8>) {
+    out.extend_from_slice(&encode_attrs(entries));
 }
 
 fn attrs_strategy() -> impl Strategy<Value = Vec<AttrEntry>> {
@@ -113,6 +125,60 @@ proptest! {
     }
 
     #[test]
+    fn events_into_roundtrip_appends(head in events_strategy(), tail in events_strategy()) {
+        let mut row = Vec::new();
+        encode_events_into(&head, &mut row);
+        encode_events_into(&tail, &mut row);
+        let sentinel = Event::new(Activity(u32::MAX), 7);
+        let mut out = vec![sentinel];
+        decode_events_into(&row, &mut out).unwrap();
+        prop_assert_eq!(out[0], sentinel);
+        prop_assert_eq!(&out[1..], &[head, tail].concat()[..]);
+    }
+
+    #[test]
+    fn attrs_into_roundtrip_appends(head in attrs_strategy(), tail in attrs_strategy()) {
+        let mut row = Vec::new();
+        encode_attrs_into(&head, &mut row);
+        encode_attrs_into(&tail, &mut row);
+        let sentinel = (7, Attr(u32::MAX), -1);
+        let mut out = vec![sentinel];
+        decode_attrs_into(&row, &mut out).unwrap();
+        prop_assert_eq!(out[0], sentinel);
+        prop_assert_eq!(&out[1..], &[head, tail].concat()[..]);
+    }
+
+    #[test]
+    fn torn_rows_are_corrupt_and_append_nothing(
+        events in events_strategy(),
+        entries in attrs_strategy(),
+        cut_ppm in 0u32..1_000_000,
+    ) {
+        // A row that is not whole fixed-width records is a typed error from
+        // the appending decoders too, and leaves the reused buffer as it was.
+        let row = encode_events(&events);
+        let cut = (row.len() as u64 * cut_ppm as u64 / 1_000_000) as usize;
+        let mut out = Vec::new();
+        match decode_events_into(&row[..cut], &mut out) {
+            Ok(()) => prop_assert!(cut.is_multiple_of(12)),
+            Err(e) => {
+                prop_assert!(matches!(e, CoreError::Corrupt { table: "Seq", .. }));
+                prop_assert!(out.is_empty());
+            }
+        }
+        let row = encode_attrs(&entries);
+        let cut = (row.len() as u64 * cut_ppm as u64 / 1_000_000) as usize;
+        let mut out = Vec::new();
+        match decode_attrs_into(&row[..cut], &mut out) {
+            Ok(()) => prop_assert!(cut.is_multiple_of(20)),
+            Err(e) => {
+                prop_assert!(matches!(e, CoreError::Corrupt { table: "Attrs", .. }));
+                prop_assert!(out.is_empty());
+            }
+        }
+    }
+
+    #[test]
     fn counts_roundtrip(entries in counts_strategy()) {
         let row = encode_counts(&entries);
         prop_assert_eq!(decode_counts(&row).unwrap(), entries);
@@ -137,6 +203,8 @@ proptest! {
     #[test]
     fn decoders_never_panic_on_arbitrary_bytes(row in prop::collection::vec(0u8..=255, 0..256)) {
         let _ = decode_events(&row);
+        let _ = decode_events_into(&row, &mut Vec::new());
+        let _ = decode_attrs_into(&row, &mut Vec::new());
         let _ = decode_postings(&row);
         let _ = decode_postings_v2(&row);
         let _ = decode_postings_v2_into(&row, &mut Vec::new());

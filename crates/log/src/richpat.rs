@@ -56,7 +56,10 @@
 //! whose anchors all lie strictly after the previous match's last anchor.
 //! Note that under negation the canonical match is not always found by
 //! greedy-earliest extension — a violated zone can force a *later* anchor
-//! for an earlier element — so both implementations backtrack.
+//! for an earlier element. The oracle in `seqdet-baselines` backtracks;
+//! the engine searches per-element position lists with a memo of anchors
+//! that cannot be completed, which finds the same match in polynomial
+//! time.
 //!
 //! **ANY MATCH** counts, per trace, the number of distinct valid anchor
 //! assignments (saturating at `u64::MAX`) and reports the first `limit`

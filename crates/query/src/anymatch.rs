@@ -4,22 +4,24 @@
 //! of the pattern as a subsequence counts (the paper's example: detecting
 //! `AAB` at positions 1, 3 and 8 of `AAABAACB`). Embedding counts explode
 //! combinatorially, so this module returns the exact per-trace **count**
-//! (computed by dynamic programming over the stored `Seq` row) plus at most
-//! `enumerate_limit` concrete embeddings per trace.
+//! plus at most `enumerate_limit` concrete embeddings per trace.
 //!
 //! Candidate traces come from the STNM index: if a trace embeds the whole
 //! pattern, then for every consecutive pair the trace contains that pair as
 //! a subsequence, and greedy STNM pairing finds at least one occurrence of
 //! any pair that exists — so intersecting the postings' trace sets yields a
 //! sound (and usually tight) candidate set without scanning the log. The
-//! trace sets are read through the query's [`ReadCtx`] (cache, then decode),
-//! and the per-candidate DP + enumeration fans out across the executor —
-//! each trace's `Seq` row is independent.
+//! trace sets are read through the query's [`ReadCtx`] (cache, then decode).
+//! An embedding is an anchor assignment of the same pattern written as a
+//! rich pattern with plain elements only, so each candidate is counted and
+//! enumerated by the rich-pattern evaluator ([`crate::richpat`]): a dynamic
+//! program over per-element position lists for the count, a memoised
+//! search for the examples. The classic embedding DP and enumeration stay
+//! in this module's tests as the reference.
 
 use crate::detect::ReadCtx;
-use crate::Result;
-use seqdet_core::tables::read_seq;
-use seqdet_log::{Activity, Pattern, TraceId, Ts};
+use crate::{richpat, Result};
+use seqdet_log::{Pattern, PatternElem, TraceId, Ts};
 use seqdet_storage::{Coverage, KvStore};
 
 /// STAM result for one trace.
@@ -57,90 +59,18 @@ impl AnyMatchResult {
     }
 }
 
-/// Count subsequence embeddings of `pattern` in `events` by DP:
-/// `dp[j]` = number of embeddings of the first `j` pattern symbols.
-fn count_embeddings(events: &[(Activity, Ts)], pattern: &[Activity]) -> u64 {
-    let p = pattern.len();
-    let mut dp = vec![0u64; p + 1];
-    dp[0] = 1;
-    for &(a, _) in events {
-        // Walk backwards so each event is used at most once per embedding.
-        for j in (0..p).rev() {
-            if pattern[j] == a {
-                dp[j + 1] = dp[j + 1].saturating_add(dp[j]);
-            }
-        }
-    }
-    dp[p]
-}
-
-/// Enumerate up to `limit` embeddings (lexicographically by position).
-fn enumerate_embeddings(
-    events: &[(Activity, Ts)],
-    pattern: &[Activity],
-    limit: usize,
-) -> Vec<Vec<Ts>> {
-    let mut out = Vec::new();
-    let mut stack: Vec<Ts> = Vec::with_capacity(pattern.len());
-    fn rec(
-        events: &[(Activity, Ts)],
-        pattern: &[Activity],
-        from: usize,
-        stack: &mut Vec<Ts>,
-        out: &mut Vec<Vec<Ts>>,
-        limit: usize,
-    ) {
-        if out.len() >= limit {
-            return;
-        }
-        let depth = stack.len();
-        if depth == pattern.len() {
-            out.push(stack.clone());
-            return;
-        }
-        for i in from..events.len() {
-            if events[i].0 == pattern[depth] {
-                stack.push(events[i].1);
-                rec(events, pattern, i + 1, stack, out, limit);
-                stack.pop();
-                if out.len() >= limit {
-                    return;
-                }
-            }
-        }
-    }
-    rec(events, pattern, 0, &mut stack, &mut out, limit);
-    out
-}
-
 /// Detect all STAM embeddings of `pattern` (length ≥ 2).
 pub(crate) fn detect_any_match<S: KvStore>(
     ctx: &ReadCtx<'_, S>,
     pattern: &Pattern,
     enumerate_limit: usize,
 ) -> Result<AnyMatchResult> {
-    let acts = pattern.activities();
     // Candidate traces: intersection over consecutive pairs.
     let candidates = ctx.traces_with_all(pattern.consecutive_pairs())?;
-
-    // Per-candidate DP over the stored Seq row — independent per trace.
-    let per_trace = ctx.executor.map(&candidates, |&trace| -> Result<Option<TraceAnyMatches>> {
-        let events: Vec<(Activity, Ts)> =
-            read_seq(ctx.store, trace)?.into_iter().map(|e| (e.activity, e.ts)).collect();
-        let count = count_embeddings(&events, acts);
-        if count == 0 {
-            return Ok(None);
-        }
-        let examples = enumerate_embeddings(&events, acts, enumerate_limit);
-        Ok(Some(TraceAnyMatches { trace, count, examples }))
-    });
-    let mut traces = Vec::new();
-    for r in per_trace {
-        if let Some(t) = r? {
-            traces.push(t);
-        }
-    }
-    Ok(AnyMatchResult { traces, coverage: Coverage::Full })
+    // An embedding is an anchor assignment of the all-plain rich pattern.
+    let elems: Vec<PatternElem> =
+        pattern.activities().iter().copied().map(PatternElem::plain).collect();
+    richpat::any_match_over(ctx.store, &candidates, &elems, None, enumerate_limit)
 }
 
 #[cfg(test)]
@@ -148,8 +78,64 @@ mod tests {
     use super::*;
     use seqdet_core::indexer::active_index_tables;
     use seqdet_core::{IndexConfig, Indexer, Policy};
-    use seqdet_exec::Executor;
-    use seqdet_log::EventLogBuilder;
+    use seqdet_log::{Activity, EventLogBuilder};
+
+    /// Reference count of subsequence embeddings of `pattern` in `events`
+    /// by the classic DP: `dp[j]` = number of embeddings of the first `j`
+    /// pattern symbols.
+    fn count_embeddings(events: &[(Activity, Ts)], pattern: &[Activity]) -> u64 {
+        let p = pattern.len();
+        let mut dp = vec![0u64; p + 1];
+        dp[0] = 1;
+        for &(a, _) in events {
+            // Walk backwards so each event is used at most once per embedding.
+            for j in (0..p).rev() {
+                if pattern[j] == a {
+                    dp[j + 1] = dp[j + 1].saturating_add(dp[j]);
+                }
+            }
+        }
+        dp[p]
+    }
+
+    /// Reference enumeration of up to `limit` embeddings (lexicographically
+    /// by position).
+    fn enumerate_embeddings(
+        events: &[(Activity, Ts)],
+        pattern: &[Activity],
+        limit: usize,
+    ) -> Vec<Vec<Ts>> {
+        fn rec(
+            events: &[(Activity, Ts)],
+            pattern: &[Activity],
+            from: usize,
+            stack: &mut Vec<Ts>,
+            out: &mut Vec<Vec<Ts>>,
+            limit: usize,
+        ) {
+            if out.len() >= limit {
+                return;
+            }
+            let depth = stack.len();
+            if depth == pattern.len() {
+                out.push(stack.clone());
+                return;
+            }
+            for i in from..events.len() {
+                if events[i].0 == pattern[depth] {
+                    stack.push(events[i].1);
+                    rec(events, pattern, i + 1, stack, out, limit);
+                    stack.pop();
+                    if out.len() >= limit {
+                        return;
+                    }
+                }
+            }
+        }
+        let mut out = Vec::new();
+        rec(events, pattern, 0, &mut Vec::new(), &mut out, limit);
+        out
+    }
 
     fn act(ix: &Indexer, n: &str) -> Activity {
         ix.catalog().activity(n).unwrap()
@@ -236,26 +222,61 @@ mod tests {
         assert_eq!(r.num_traces(), 0);
     }
 
-    #[test]
-    fn parallel_dp_matches_sequential() {
-        let mut b = EventLogBuilder::new();
-        for t in 0..48 {
-            let name = format!("t{t}");
-            for (i, a) in "AABAB".chars().enumerate() {
-                b.add(&name, &a.to_string(), (t + 1) * 10 + i as u64);
+    mod properties {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            /// The shared evaluator, fed plain elements through the whole
+            /// query path, equals the classic embedding DP and enumeration
+            /// on every trace: counts, examples and which traces appear.
+            #[test]
+            fn evaluator_equals_embedding_oracle(
+                traces in prop::collection::vec(prop::collection::vec(0u32..4, 0..16), 1..6),
+                pattern in prop::collection::vec(0u32..4, 2..5),
+                limit in 0usize..8,
+            ) {
+                let mut b = EventLogBuilder::new();
+                for (t, acts) in traces.iter().enumerate() {
+                    for (i, a) in acts.iter().enumerate() {
+                        b.add(&format!("t{t}"), &format!("a{a}"), i as Ts + 1);
+                    }
+                }
+                let log = b.build();
+                let mut ix = Indexer::new(IndexConfig::new(Policy::SkipTillNextMatch));
+                ix.index_log(&log).unwrap();
+                let names: Vec<String> = pattern.iter().map(|a| format!("a{a}")).collect();
+                let Some(acts) = names
+                    .iter()
+                    .map(|n| ix.catalog().activity(n))
+                    .collect::<Option<Vec<Activity>>>()
+                else {
+                    return Ok(());
+                };
+                let store = ix.store();
+                let tables = active_index_tables(store.as_ref());
+                let ctx = ReadCtx::plain(store.as_ref(), &tables);
+                let got = detect_any_match(&ctx, &Pattern::new(acts.clone()), limit).unwrap();
+
+                let mut expected = Vec::new();
+                for (t, trace_acts) in traces.iter().enumerate() {
+                    let Some(trace) = ix.catalog().trace(&format!("t{t}")) else { continue };
+                    let events: Vec<(Activity, Ts)> = trace_acts
+                        .iter()
+                        .enumerate()
+                        .map(|(i, a)| (ix.catalog().activity(&format!("a{a}")).unwrap(), i as Ts + 1))
+                        .collect();
+                    let count = count_embeddings(&events, &acts);
+                    if count > 0 {
+                        let examples = enumerate_embeddings(&events, &acts, limit);
+                        expected.push(TraceAnyMatches { trace, count, examples });
+                    }
+                }
+                expected.sort_by_key(|t| t.trace);
+                prop_assert_eq!(got.traces, expected);
             }
         }
-        let mut ix = Indexer::new(IndexConfig::new(Policy::SkipTillNextMatch));
-        ix.index_log(&b.build()).unwrap();
-        let store = ix.store();
-        let tables = active_index_tables(store.as_ref());
-        let p = Pattern::new(vec![act(&ix, "A"), act(&ix, "B")]);
-        let seq_ctx = ReadCtx::plain(store.as_ref(), &tables);
-        let mut par_ctx = ReadCtx::plain(store.as_ref(), &tables);
-        par_ctx.executor = Executor::new(4);
-        let s = detect_any_match(&seq_ctx, &p, 100).unwrap();
-        let r = detect_any_match(&par_ctx, &p, 100).unwrap();
-        assert_eq!(s, r);
-        assert_eq!(r.num_traces(), 48);
     }
 }

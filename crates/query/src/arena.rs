@@ -11,10 +11,9 @@
 //! The buffer is **thread-local and lexically scoped**: callers get it
 //! only inside a closure and nothing borrowed from it may escape (it is
 //! cleared on the next use). Query worker threads — the server's connection
-//! threads and the executor's verifier workers — each get their own, so no
-//! synchronization is involved. If a closure re-enters (it never does
-//! today), the nested call falls back to a fresh temporary rather than
-//! panicking on the `RefCell`.
+//! threads — each get their own, so no synchronization is involved. If a
+//! closure re-enters (it never does today), the nested call falls back to a
+//! fresh temporary rather than panicking on the `RefCell`.
 
 use seqdet_core::tables::Posting;
 use std::cell::RefCell;

@@ -57,7 +57,6 @@
 use crate::cache::{gallop, PostingCache, PostingList};
 use crate::Result;
 use seqdet_core::PairKey;
-use seqdet_exec::Executor;
 use seqdet_log::{Activity, Pattern, TraceId, Ts};
 use seqdet_storage::{Coverage, KvStore, StoreMetrics, TableId};
 use std::sync::Arc;
@@ -126,7 +125,7 @@ impl DetectResult {
 
 /// Everything a query needs to read posting lists: the store and partition
 /// layout, plus the (optional) cache, the generation the layout was read
-/// under, the (optional) metrics sink and the verifier executor.
+/// under and the (optional) metrics sink.
 ///
 /// Built per query by [`crate::QueryEngine`] after its generation check, so
 /// cache lookups are stamped with a generation that is current for this
@@ -138,22 +137,14 @@ pub(crate) struct ReadCtx<'a, S: KvStore> {
     pub cache: Option<&'a PostingCache>,
     pub generation: u64,
     pub metrics: Option<&'a StoreMetrics>,
-    pub executor: Executor,
 }
 
 impl<'a, S: KvStore> ReadCtx<'a, S> {
-    /// Context with no cache, no metrics and sequential execution — the
-    /// configuration-free path used by unit tests.
+    /// Context with no cache and no metrics — the configuration-free path
+    /// used by unit tests.
     #[cfg(test)]
     pub fn plain(store: &'a S, tables: &'a [TableId]) -> Self {
-        ReadCtx {
-            store,
-            tables,
-            cache: None,
-            generation: 0,
-            metrics: None,
-            executor: Executor::sequential(),
-        }
+        ReadCtx { store, tables, cache: None, generation: 0, metrics: None }
     }
 
     /// Decoded postings of `key` across every active partition, sorted by

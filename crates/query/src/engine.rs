@@ -9,7 +9,6 @@ use crate::{richpat, QueryError, Result};
 use parking_lot::RwLock;
 use seqdet_core::indexer::active_index_tables;
 use seqdet_core::{check_posting_format, index_generation, index_policy, Catalog, Policy};
-use seqdet_exec::Executor;
 use seqdet_log::{Pattern, RichPattern};
 use seqdet_storage::{Coverage, KvStore, StoreMetrics, TableId};
 use std::sync::Arc;
@@ -29,9 +28,9 @@ struct Layout {
 ///
 /// The engine is read-only over the index. Posting lists are served through
 /// a sharded, generation-stamped [`PostingCache`] and decoded on miss with
-/// the core decode kernel; the pairwise join runs on the calling thread and
-/// only the per-trace verifiers (rich patterns, any-match) fan out across an
-/// [`Executor`]. Before every query (and every [`QueryEngine::catalog`]
+/// the core decode kernel; every query runs on the calling thread — the
+/// pairwise join and the per-trace evaluator of rich patterns and
+/// any-match alike. Before every query (and every [`QueryEngine::catalog`]
 /// read) the engine compares the store's [`index_generation`] against its
 /// snapshot and, on a change, reloads the partition layout *and the
 /// catalog* and invalidates the cache — so queries keep answering
@@ -41,7 +40,6 @@ pub struct QueryEngine<S: KvStore> {
     store: Arc<S>,
     layout: RwLock<Layout>,
     cache: PostingCache,
-    executor: Executor,
     metrics: Option<Arc<StoreMetrics>>,
 }
 
@@ -58,7 +56,6 @@ impl<S: KvStore> QueryEngine<S> {
             store,
             layout: RwLock::new(Layout { generation, tables, catalog }),
             cache: PostingCache::new(DEFAULT_CACHE_CAPACITY),
-            executor: Executor::default(),
             metrics: None,
         })
     }
@@ -145,7 +142,6 @@ impl<S: KvStore> QueryEngine<S> {
             cache: Some(&self.cache),
             generation,
             metrics: self.metrics.as_deref(),
-            executor: self.executor,
         }
     }
 
@@ -287,7 +283,7 @@ impl<S: KvStore> QueryEngine<S> {
 
     /// **Rich-pattern detection**: Kleene plus, negation, per-event
     /// predicates and an optional `WITHIN` window, compiled onto the pair
-    /// index (skeleton candidates + per-trace verifier — see
+    /// index (skeleton candidates + per-trace evaluator — see
     /// [`crate::richpat`]). Returns greedy non-overlapping canonical
     /// matches; reported timestamps are the positive elements' anchors.
     pub fn detect_rich(

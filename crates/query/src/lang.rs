@@ -38,7 +38,7 @@
 //! Plain `DETECT` patterns execute on the classic pairwise-join path,
 //! bit-for-bit identical to previous releases (including the greedy
 //! `WITHIN` join semantics — see DESIGN.md on where that differs from the
-//! rich backtracking matcher). Any rich operator routes the query through
+//! rich matcher). Any rich operator routes the query through
 //! [`QueryEngine::detect_rich`] / [`QueryEngine::detect_rich_any`], as does
 //! `ANY MATCH WITHIN …`, which the classic path never supported.
 

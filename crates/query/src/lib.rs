@@ -28,9 +28,9 @@
 //! All index-reading queries share one read path: block-compressed posting
 //! rows are decoded by the core kernel into columnar, `(trace, ts_a)`-sorted
 //! [`cache::PostingList`]s and cached in a sharded generation-stamped LRU
-//! ([`PostingCache`]); the pairwise merge join runs on the calling thread
-//! (and continuation joins the pattern once for all candidates) while the
-//! per-trace verifiers fan out across an executor. See [`cache`] and the
+//! ([`PostingCache`]); the pairwise merge join (continuation joins the
+//! pattern once for all candidates) and the per-trace evaluator of rich
+//! patterns and any-match run on the calling thread. See [`cache`] and the
 //! "Query read path" section of `DESIGN.md` for the consistency model, and
 //! [`QueryEngine::with_metrics`] for the read-path counters.
 

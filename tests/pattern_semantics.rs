@@ -2,9 +2,9 @@
 //!
 //! The index-based engine evaluates `A B+ !C D[amount > 100] WITHIN w`
 //! through candidate pruning (skeleton pair postings) plus a per-trace
-//! backtracking verifier; the SASE baseline evaluates the same pattern by
-//! a deliberately naive event-by-event scan that shares no code with the
-//! engine. Both implement the normative semantics written down in
+//! evaluator over per-element position lists; the SASE baseline evaluates
+//! the same pattern by a deliberately naive event-by-event scan that
+//! shares no code with the engine. Both implement the normative semantics written down in
 //! `seqdet_log::richpat` — so on random logs and random patterns they must
 //! agree *exactly*, on both `DETECT` (greedy non-overlapping canonical
 //! matches) and `ANY MATCH` (distinct-assignment counts plus the first
@@ -109,7 +109,7 @@ fn arb_elems() -> impl Strategy<Value = Vec<ElemGen>> {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(96))]
+    #![proptest_config(ProptestConfig::with_cases(256))]
 
     #[test]
     fn rich_detect_agrees_with_sase_oracle(
