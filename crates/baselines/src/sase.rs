@@ -89,39 +89,6 @@ impl<'a> SaseEngine<'a> {
         out
     }
 
-    /// Skip-till-next-match evaluation with a time window (CEP's `WITHIN`
-    /// operator): a completion is valid only if its total span does not
-    /// exceed `window`. A run whose span is already wider than the window
-    /// restarts from scratch (greedy semantics, like [`Self::detect_stnm`]).
-    pub fn detect_stnm_within(&self, pattern: &Pattern, window: Ts) -> Vec<NfaMatch> {
-        let acts = pattern.activities();
-        let mut out = Vec::new();
-        if acts.is_empty() {
-            return out;
-        }
-        for trace in self.log.traces() {
-            let mut state = 0usize;
-            let mut partial: Vec<Ts> = Vec::with_capacity(acts.len());
-            for ev in trace.events() {
-                if state > 0 && ev.ts - partial[0] > window {
-                    // The open run can never complete within the window.
-                    partial.clear();
-                    state = 0;
-                }
-                if ev.activity == acts[state] {
-                    partial.push(ev.ts);
-                    state += 1;
-                    if state == acts.len() {
-                        out.push(NfaMatch { trace: trace.id(), timestamps: partial.clone() });
-                        partial.clear();
-                        state = 0;
-                    }
-                }
-            }
-        }
-        out
-    }
-
     /// SASE's actual evaluation model: a *run* is spawned at **every**
     /// occurrence of the pattern's first symbol, and each run then advances
     /// with skip-till-next-match semantics independently (NFA^b with match
@@ -438,22 +405,6 @@ mod tests {
         let p = pat(&l, &["A", "B"]);
         assert_eq!(e.detect_stnm(&p).len(), 2);
         assert_eq!(e.traces_stnm(&p).len(), 2);
-    }
-
-    #[test]
-    fn windowed_stnm_restarts_stale_runs() {
-        let mut b = EventLogBuilder::new();
-        // A@1 … B@50 is out of a 10-window; A@60 B@62 is inside.
-        b.add("t", "A", 1).add("t", "B", 50).add("t", "A", 60).add("t", "B", 62);
-        let l = b.build();
-        let e = SaseEngine::new(&l);
-        let p = pat(&l, &["A", "B"]);
-        assert_eq!(e.detect_stnm(&p).len(), 2);
-        let m = e.detect_stnm_within(&p, 10);
-        assert_eq!(m.len(), 1);
-        assert_eq!(m[0].timestamps, vec![60, 62]);
-        // Large windows admit everything.
-        assert_eq!(e.detect_stnm_within(&p, 1000).len(), 2);
     }
 
     #[test]

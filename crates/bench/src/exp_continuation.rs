@@ -3,7 +3,7 @@
 use crate::datasets::Datasets;
 use crate::table::{secs, TextTable};
 use crate::timing::time;
-use seqdet_core::{IndexConfig, Indexer, Policy, StnmMethod};
+use seqdet_core::{IndexConfig, Indexer, Policy};
 use seqdet_datagen::patterns::{pattern_batch, PatternMode};
 use seqdet_log::{EventLog, Pattern};
 use seqdet_query::{ContinuationMethod, Proposition, QueryEngine};
@@ -11,7 +11,7 @@ use seqdet_storage::MemStore;
 use std::time::Duration;
 
 fn build_engine(log: &EventLog) -> QueryEngine<MemStore> {
-    let cfg = IndexConfig::new(Policy::SkipTillNextMatch).with_method(StnmMethod::Indexing);
+    let cfg = IndexConfig::new(Policy::SkipTillNextMatch);
     let mut ix = Indexer::new(cfg);
     ix.index_log(log).expect("indexing cannot fail on a valid log");
     QueryEngine::new(ix.store()).expect("catalog was just written")

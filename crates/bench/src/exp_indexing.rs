@@ -3,43 +3,30 @@
 use crate::datasets::Datasets;
 use crate::table::{secs, TextTable};
 use crate::timing::mean_time_warm;
-use seqdet_core::{IndexConfig, Indexer, Policy, StnmMethod};
+use seqdet_core::pairs::{total_occurrences, CreatePairs, STNM_FLAVORS};
 use seqdet_datagen::RandomLogSpec;
 use seqdet_log::EventLog;
 use std::fmt::Write as _;
 
-fn index_with(log: &EventLog, method: StnmMethod) -> usize {
-    let cfg = IndexConfig::new(Policy::SkipTillNextMatch).with_method(method);
-    let mut ix = Indexer::new(cfg);
-    ix.index_log(log).expect("indexing cannot fail on a valid log").new_pairs
+/// Pair creation only — the flavor-specific phase of the build. Table 5
+/// and Figure 3 time this in isolation: the index builds with one flavor,
+/// and the KV write path, byte-identical across the three, would mask the
+/// differences the experiments exist to show on this embedded single-node
+/// substrate anyway (the paper's Spark/Cassandra pipeline overlaps storage
+/// with computation).
+fn create_only(log: &EventLog, create: CreatePairs) -> usize {
+    log.traces().map(|t| total_occurrences(&create(t.events()))).sum()
 }
 
-/// Pair creation only — the method-specific phase of the build. Figure 3
-/// times this in isolation: the KV write path is byte-identical across the
-/// three flavors and, on this embedded single-node substrate, would
-/// otherwise mask the method differences the figure exists to show (the
-/// paper's Spark/Cassandra pipeline overlaps storage with computation).
-fn create_only(log: &EventLog, method: StnmMethod) -> usize {
-    log.traces()
-        .map(|t| {
-            seqdet_core::pairs::total_occurrences(&seqdet_core::create_pairs(
-                t.events(),
-                Policy::SkipTillNextMatch,
-                method,
-            ))
-        })
-        .sum()
-}
-
-/// Table 5: execution time of Indexing / Parsing / State on every Table-4
-/// dataset profile.
+/// Table 5: pair-creation time of Indexing / Parsing / State on every
+/// Table-4 dataset profile.
 pub fn table5(data: &mut Datasets) -> String {
     let mut table = TextTable::new(&["log file", "Indexing", "Parsing", "State"]);
     for name in Datasets::names().collect::<Vec<_>>() {
         let log = data.get(name);
         let mut cells = vec![name.to_string()];
-        for method in [StnmMethod::Indexing, StnmMethod::Parsing, StnmMethod::State] {
-            let d = mean_time_warm(crate::timing::REPS, |_| index_with(log, method));
+        for (_, create) in STNM_FLAVORS {
+            let d = mean_time_warm(crate::timing::REPS, |_| create_only(log, create));
             cells.push(secs(d));
         }
         table.row(cells);
@@ -60,8 +47,8 @@ fn sweep(
     for &(axis, spec) in specs {
         let log = spec.generate();
         let mut cells = vec![axis.to_string(), log.num_events().to_string()];
-        for method in [StnmMethod::Indexing, StnmMethod::Parsing, StnmMethod::State] {
-            let d = mean_time_warm(reps, |_| create_only(&log, method));
+        for (_, create) in STNM_FLAVORS {
+            let d = mean_time_warm(reps, |_| create_only(&log, create));
             cells.push(secs(d));
         }
         table.row(cells);
@@ -155,13 +142,10 @@ mod tests {
     }
 
     #[test]
-    fn all_methods_index_the_same_pair_count() {
+    fn all_flavors_create_the_same_pair_count() {
         let log = RandomLogSpec::new(20, 30, 8).generate();
-        let a = index_with(&log, StnmMethod::Indexing);
-        let b = index_with(&log, StnmMethod::Parsing);
-        let c = index_with(&log, StnmMethod::State);
-        assert_eq!(a, b);
-        assert_eq!(b, c);
-        assert!(a > 0);
+        let counts = STNM_FLAVORS.map(|(_, create)| create_only(&log, create));
+        assert!(counts[0] > 0);
+        assert!(counts.iter().all(|&c| c == counts[0]), "{counts:?}");
     }
 }

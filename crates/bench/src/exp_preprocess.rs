@@ -10,11 +10,11 @@ use crate::datasets::Datasets;
 use crate::table::{secs, TextTable};
 use crate::timing::mean_time_warm;
 use seqdet_baselines::{SubtreeIndex, TextSearchIndex};
-use seqdet_core::{IndexConfig, Indexer, Policy, StnmMethod};
+use seqdet_core::{IndexConfig, Indexer, Policy};
 use seqdet_log::EventLog;
 
 fn build_ours(log: &EventLog, policy: Policy, threads: usize) {
-    let cfg = IndexConfig::new(policy).with_method(StnmMethod::Indexing).with_threads(threads);
+    let cfg = IndexConfig::new(policy).with_threads(threads);
     let mut ix = Indexer::new(cfg);
     ix.index_log(log).expect("indexing cannot fail on a valid log");
 }

@@ -4,7 +4,7 @@ use crate::datasets::Datasets;
 use crate::table::{secs, TextTable};
 use crate::timing::time;
 use seqdet_baselines::{SaseEngine, SubtreeIndex, TextSearchIndex};
-use seqdet_core::{IndexConfig, Indexer, Policy, StnmMethod};
+use seqdet_core::{IndexConfig, Indexer, Policy};
 use seqdet_datagen::patterns::{pattern_batch, PatternMode};
 use seqdet_log::{EventLog, Pattern};
 use seqdet_query::QueryEngine;
@@ -17,7 +17,7 @@ use std::time::Duration;
 const PATTERNS_PER_CELL: usize = 100;
 
 fn build_engine(log: &EventLog, policy: Policy) -> QueryEngine<MemStore> {
-    let cfg = IndexConfig::new(policy).with_method(StnmMethod::Indexing);
+    let cfg = IndexConfig::new(policy);
     let mut ix = Indexer::new(cfg);
     ix.index_log(log).expect("indexing cannot fail on a valid log");
     QueryEngine::new(ix.store()).expect("catalog was just written")

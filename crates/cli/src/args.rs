@@ -1,6 +1,6 @@
 //! Hand-rolled argument parsing (no external CLI crate is available).
 
-use seqdet_core::{Policy, StnmMethod};
+use seqdet_core::Policy;
 use seqdet_storage::DurabilityPolicy;
 
 /// Usage text printed on parse errors and `--help`.
@@ -9,9 +9,8 @@ usage:
   seqdet gen      --profile NAME [--scale N] [--seed S] --out FILE.{csv,xes}
   seqdet gen      --random TRACES,EVENTS,ACTS [--seed S] --out FILE.{csv,xes}
   seqdet index    --input FILE.{csv,xes} --store DIR [--policy sc|stnm]
-                  [--method indexing|parsing|state] [--threads N]
-                  [--partition-period P] [--durability always|batch|os]
-                  [--retain-segments]
+                  [--threads N] [--partition-period P]
+                  [--durability always|batch|os] [--retain-segments]
   seqdet info     --store DIR
   seqdet detect   --store DIR --pattern A,B,C [--any-match]
   seqdet stats    --store DIR --pattern A,B,C [--all-pairs]
@@ -53,8 +52,6 @@ pub enum Command {
         store: String,
         /// SC or STNM.
         policy: Policy,
-        /// STNM pair-creation flavor.
-        method: StnmMethod,
         /// Worker threads (0 = all).
         threads: usize,
         /// Optional §3.1.3 partition period.
@@ -232,7 +229,6 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
         "index" => {
             let (mut input, mut store) = (None, None);
             let mut policy = Policy::SkipTillNextMatch;
-            let mut method = StnmMethod::Indexing;
             let mut threads = 0usize;
             let mut partition_period = None;
             let mut durability = DurabilityPolicy::default();
@@ -250,14 +246,6 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
                             other => return Err(format!("unknown policy {other:?}")),
                         }
                     }
-                    "--method" => {
-                        method = match cur.value("--method")?.as_str() {
-                            "indexing" => StnmMethod::Indexing,
-                            "parsing" => StnmMethod::Parsing,
-                            "state" => StnmMethod::State,
-                            other => return Err(format!("unknown method {other:?}")),
-                        }
-                    }
                     "--threads" => threads = parse_usize(&cur.value("--threads")?, "threads")?,
                     "--partition-period" => {
                         partition_period =
@@ -271,7 +259,6 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
                 input: input.ok_or_else(|| "index requires --input".to_string())?,
                 store: store.ok_or_else(|| "index requires --store".to_string())?,
                 policy,
-                method,
                 threads,
                 partition_period,
                 durability,
@@ -512,9 +499,8 @@ mod tests {
     fn parse_index_defaults() {
         let c = parse(&argv("index --input a.csv --store dir")).unwrap();
         match c {
-            Command::Index { policy, method, threads, partition_period, .. } => {
+            Command::Index { policy, threads, partition_period, .. } => {
                 assert_eq!(policy, Policy::SkipTillNextMatch);
-                assert_eq!(method, StnmMethod::Indexing);
                 assert_eq!(threads, 0);
                 assert!(partition_period.is_none());
             }
@@ -525,13 +511,12 @@ mod tests {
     #[test]
     fn parse_index_full() {
         let c = parse(&argv(
-            "index --input a.xes --store d --policy sc --method state --threads 2 --partition-period 100",
+            "index --input a.xes --store d --policy sc --threads 2 --partition-period 100",
         ))
         .unwrap();
         match c {
-            Command::Index { policy, method, threads, partition_period, .. } => {
+            Command::Index { policy, threads, partition_period, .. } => {
                 assert_eq!(policy, Policy::StrictContiguity);
-                assert_eq!(method, StnmMethod::State);
                 assert_eq!(threads, 2);
                 assert_eq!(partition_period, Some(100));
             }

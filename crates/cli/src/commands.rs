@@ -23,14 +23,13 @@ pub fn run(cmd: Command) -> Result<(), CliError> {
             input,
             store,
             policy,
-            method,
             threads,
             partition_period,
             durability,
             retain_segments,
         } => {
             let log = load_log(&input)?;
-            let mut cfg = IndexConfig::new(policy).with_method(method).with_threads(threads);
+            let mut cfg = IndexConfig::new(policy).with_threads(threads);
             if let Some(p) = partition_period {
                 cfg = cfg.with_partition_period(p);
             }
@@ -151,22 +150,11 @@ pub fn run(cmd: Command) -> Result<(), CliError> {
                 start.elapsed().as_secs_f64()
             );
             if let Some(ttl) = retention {
-                // Age runs against the newest timestamp any run covers, not
-                // the wall clock — event time and wall time need not agree.
-                match disk.run_time_range() {
-                    Some((_, newest)) => {
-                        let cutoff = newest.saturating_sub(ttl);
-                        let dropped = disk.drop_expired_runs(cutoff)?;
-                        if dropped > 0 {
-                            // Dropped runs change query-visible contents:
-                            // invalidate generation-stamped caches.
-                            seqdet_core::indexer::bump_index_generation(&disk)?;
-                        }
-                        println!(
-                            "retention: dropped {dropped} run(s) older than {cutoff} \
-                             (newest {newest}, ttl {ttl})"
-                        );
-                    }
+                match seqdet_core::expire_runs(&disk, ttl)? {
+                    Some(e) => println!(
+                        "retention: dropped {} run(s) older than {} (newest {}, ttl {ttl})",
+                        e.dropped, e.cutoff, e.newest
+                    ),
                     None => println!("retention: no runs carry time zones; nothing to expire"),
                 }
             }
@@ -402,7 +390,7 @@ fn save_log(log: &EventLog, path: &str) -> Result<(), CliError> {
 mod tests {
     use super::*;
     use seqdet_core::catalog::put_meta;
-    use seqdet_core::{CoreError, Policy, StnmMethod};
+    use seqdet_core::{CoreError, Policy};
     use seqdet_query::QueryError;
 
     #[test]
@@ -412,7 +400,6 @@ mod tests {
         {
             let disk = DiskStore::open(&dir).unwrap();
             put_meta(&disk, "config:policy", Policy::SkipTillNextMatch.name()).unwrap();
-            put_meta(&disk, "config:method", StnmMethod::Indexing.name()).unwrap();
             put_meta(&disk, "config:posting_format", "v1").unwrap();
             disk.flush().unwrap();
         }

@@ -4,8 +4,7 @@
 //! seqdet gen      --profile bpi_2013 [--scale N] [--seed S] --out log.csv|log.xes
 //! seqdet gen      --random TRACES,EVENTS,ACTS [--seed S] --out log.csv
 //! seqdet index    --input log.csv|log.xes --store DIR [--policy sc|stnm]
-//!                 [--method indexing|parsing|state] [--threads N]
-//!                 [--partition-period P]
+//!                 [--threads N] [--partition-period P]
 //! seqdet info     --store DIR
 //! seqdet detect   --store DIR --pattern A,B,C [--any-match]
 //! seqdet stats    --store DIR --pattern A,B,C [--all-pairs]

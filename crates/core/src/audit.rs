@@ -37,18 +37,20 @@
 //!
 //! ## Strict vs. bounded mode
 //!
-//! Two maintenance operations deliberately relax the equalities:
-//! [`crate::Indexer::drop_partitions_before`] deletes postings wholesale
-//! without rewriting `Count`/`LastChecked` (retired periods keep their
-//! aggregate history), and [`crate::Indexer::prune_traces`] deletes `Seq`
-//! rows and `LastChecked` entries while keeping postings queryable. The
-//! auditor therefore checks exact equality only while no partition has ever
-//! been dropped (*strict* mode) and falls back to the ≥ bounds otherwise —
-//! `summary.strict` in the report says which mode ran.
+//! Three maintenance operations deliberately relax the equalities:
+//! [`crate::Indexer::drop_partitions_before`] and run retention
+//! ([`crate::expire_runs`]) delete postings wholesale without rewriting
+//! `Count`/`LastChecked` (retired periods keep their aggregate history), and
+//! [`crate::Indexer::prune_traces`] deletes `Seq` rows and `LastChecked`
+//! entries while keeping postings queryable. The auditor therefore checks
+//! exact equality only while no partition has ever been dropped and no
+//! retention pass has expired runs (*strict* mode) and falls back to the ≥
+//! bounds otherwise — `summary.strict` in the report says which mode ran.
 
 use crate::catalog::get_meta;
 use crate::indexer::{
     active_index_tables, check_posting_format, META_GENERATION, META_MIN_PARTITION,
+    META_RETENTION_CUTOFF,
 };
 use crate::postings::{validate_v2_row, V2RowError};
 use crate::tables::{
@@ -222,7 +224,7 @@ pub fn audit_store<S: KvStore>(store: &S) -> Result<AuditReport> {
 
     let dropped_floor: u32 =
         get_meta(store, META_MIN_PARTITION).and_then(|s| s.parse().ok()).unwrap_or(0);
-    report.summary.strict = dropped_floor == 0;
+    report.summary.strict = dropped_floor == 0 && get_meta(store, META_RETENTION_CUTOFF).is_none();
     // Quarantined runs narrow every read below; flag the whole report so
     // "0 rows" violations can be read as possibly-missing, not corrupt.
     report.summary.narrowed = !store.coverage().is_full();
@@ -827,6 +829,48 @@ mod tests {
         let report = audit_store(ix.store().as_ref()).unwrap();
         assert!(!report.summary.strict);
         assert!(report.ok(), "unexpected violations: {:?}", report.violations);
+    }
+
+    #[test]
+    fn run_retention_switches_to_bounded_mode_and_stays_clean() {
+        // The `seqdet compact --retention` sequence: two periods of a
+        // partitioned store compacted into runs, then the older period's
+        // `Index` run expires while `Count` and `LastChecked` keep its
+        // history.
+        let dir = std::env::temp_dir().join(format!("seqdet-audit-ttl-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = seqdet_storage::DiskStore::open(&dir).unwrap();
+        crate::zones::install_zone_extractor(&store);
+        let store = Arc::new(store);
+        let cfg = IndexConfig::new(Policy::SkipTillNextMatch).with_partition_period(100);
+        let mut ix = Indexer::with_store(store.clone(), cfg).unwrap();
+        let mut old = EventLogBuilder::new();
+        old.add("t1", "A", 1).add("t1", "B", 2).add("t1", "A", 3).add("t1", "B", 4);
+        ix.index_log(&old.build()).unwrap();
+        let mut new = EventLogBuilder::new();
+        new.add("t2", "A", 501).add("t2", "B", 502);
+        ix.index_log(&new.build()).unwrap();
+        store.flush().unwrap();
+        store.compact().unwrap();
+        assert!(audit_store(store.as_ref()).unwrap().summary.strict);
+
+        let expiry = crate::zones::expire_runs(&store, 100).unwrap().unwrap();
+        assert_eq!((expiry.dropped, expiry.cutoff, expiry.newest), (1, 402, 502));
+        // The expired postings are gone but still counted, so exact
+        // equality no longer holds.
+        let (a, b) = (ix.catalog().activity("A").unwrap(), ix.catalog().activity("B").unwrap());
+        let ab = Activity::pair_key(a, b);
+        let postings: usize = active_index_tables(store.as_ref())
+            .into_iter()
+            .map(|t| crate::tables::read_postings(store.as_ref(), t, ab).unwrap().len())
+            .sum();
+        let count = crate::tables::pair_count(store.as_ref(), a, b).unwrap().unwrap();
+        assert_eq!((count.total_completions, postings), (3, 1));
+        let report = audit_store(store.as_ref()).unwrap();
+        assert!(!report.summary.strict);
+        assert!(report.ok(), "unexpected violations: {:?}", report.violations);
+        drop((ix, store));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //!
 //! 1. resolves trace/activity names against the persistent [`Catalog`],
 //! 2. merges each touched trace's new events with its stored `Seq` row,
-//! 3. recreates the trace's pairs with the configured policy/method
+//! 3. recreates the trace's pairs with the configured policy
 //!    (in parallel across traces — the paper's parallelization-by-design),
 //! 4. drops every pair occurrence whose completion is not newer than the
 //!    pair's `LastChecked.last_completion` for that trace (the duplicate
@@ -26,7 +26,7 @@
 
 use crate::catalog::{get_meta, put_meta, Catalog};
 use crate::pairs::{create_pairs, PairKey, TracePairs};
-use crate::policy::{Policy, StnmMethod};
+use crate::policy::Policy;
 use crate::postings::{encode_postings_v2, v1_unreadable, PostingFormat};
 use crate::tables::{
     self, append_attrs, append_seq, index_partition, merge_counts, merge_last_checked,
@@ -40,10 +40,11 @@ use seqdet_storage::{FxHashMap, FxHashSet, KvStore, MemStore, TableId};
 use std::sync::Arc;
 
 const META_POLICY: &str = "config:policy";
-const META_METHOD: &str = "config:method";
 const META_PERIOD: &str = "config:partition_period";
 pub(crate) const META_NUM_PARTITIONS: &str = "config:num_partitions";
 pub(crate) const META_MIN_PARTITION: &str = "config:min_partition";
+/// Set once retention may have dropped runs (see [`crate::expire_runs`]).
+pub(crate) const META_RETENTION_CUTOFF: &str = "config:retention_cutoff";
 pub(crate) const META_GENERATION: &str = "config:index_generation";
 pub(crate) const META_POSTING_FORMAT: &str = "config:posting_format";
 
@@ -52,8 +53,6 @@ pub(crate) const META_POSTING_FORMAT: &str = "config:posting_format";
 pub struct IndexConfig {
     /// Pattern-matching policy the index will support.
     pub policy: Policy,
-    /// STNM pair-creation flavor (ignored under SC).
-    pub method: StnmMethod,
     /// Worker threads for per-trace parallelism; `0` = all cores.
     pub threads: usize,
     /// Optional §3.1.3 period partitioning: width (in timestamp units) of
@@ -62,16 +61,10 @@ pub struct IndexConfig {
 }
 
 impl IndexConfig {
-    /// Default configuration for `policy`: *Indexing* flavor, all cores,
-    /// single `Index` table.
+    /// Default configuration for `policy`: all cores, single `Index`
+    /// table.
     pub fn new(policy: Policy) -> Self {
-        Self { policy, method: StnmMethod::Indexing, threads: 0, partition_period: None }
-    }
-
-    /// Select the STNM pair-creation flavor.
-    pub fn with_method(mut self, method: StnmMethod) -> Self {
-        self.method = method;
-        self
+        Self { policy, threads: 0, partition_period: None }
     }
 
     /// Set the degree of parallelism (`0` = all cores, `1` = sequential).
@@ -142,9 +135,7 @@ impl<S: KvStore> Indexer<S> {
     pub fn with_store(store: Arc<S>, config: IndexConfig) -> Result<Self> {
         check_posting_format(store.as_ref())?;
         if let Some(stored) = read_config(&store) {
-            if stored.policy != config.policy
-                || (config.policy == Policy::SkipTillNextMatch && stored.method != config.method)
-                || stored.partition_period != config.partition_period
+            if stored.policy != config.policy || stored.partition_period != config.partition_period
             {
                 return Err(CoreError::ConfigMismatch {
                     stored: format!("{stored:?}"),
@@ -269,9 +260,9 @@ impl<S: KvStore> Indexer<S> {
         // ------------------------------------------------------------------
         // 3. Per-trace pair creation, in parallel.
         // ------------------------------------------------------------------
-        let (policy, method) = (self.config.policy, self.config.method);
+        let policy = self.config.policy;
         let pair_sets: Vec<TracePairs> =
-            self.executor.map(&work, |w| create_pairs(&w.full, policy, method));
+            self.executor.map(&work, |w| create_pairs(&w.full, policy));
 
         // ------------------------------------------------------------------
         // 4. Fetch LastChecked for every touched pair and filter stale
@@ -537,14 +528,16 @@ impl<S: KvStore> Indexer<S> {
     }
 }
 
+/// The persisted configuration, or `None` for a never-indexed store. A
+/// `config:method` key, written by builds that let the STNM pair-creation
+/// flavor be chosen, is ignored: every flavor creates the same pairs.
 fn read_config<S: KvStore>(store: &S) -> Option<IndexConfig> {
     let policy = Policy::from_name(&get_meta(store, META_POLICY)?)?;
-    let method = StnmMethod::from_name(&get_meta(store, META_METHOD)?)?;
     let partition_period = match get_meta(store, META_PERIOD) {
         Some(s) => Some(s.parse().ok()?),
         None => None,
     };
-    Some(IndexConfig { policy, method, threads: 0, partition_period })
+    Some(IndexConfig { policy, threads: 0, partition_period })
 }
 
 fn write_config<S: KvStore>(store: &S, config: &IndexConfig) -> Result<()> {
@@ -553,7 +546,6 @@ fn write_config<S: KvStore>(store: &S, config: &IndexConfig) -> Result<()> {
     // store from before the tag existed looks like, and it is refused.
     put_meta(store, META_POSTING_FORMAT, PostingFormat::V2.name())?;
     put_meta(store, META_POLICY, config.policy.name())?;
-    put_meta(store, META_METHOD, config.method.name())?;
     if let Some(p) = config.partition_period {
         put_meta(store, META_PERIOD, &p.to_string())?;
     }
@@ -782,6 +774,34 @@ mod tests {
     }
 
     #[test]
+    fn stored_pair_flavor_is_ignored_on_reopen() {
+        // Builds that let the STNM pair-creation flavor be chosen wrote it
+        // to Meta. Every flavor creates the same pairs, so such a store
+        // reopens by both paths, and its next batch lands as in a bulk build.
+        let mut bulk = Indexer::new(IndexConfig::new(Policy::SkipTillNextMatch));
+        bulk.index_log(&small_log()).unwrap();
+        let mut first = EventLogBuilder::new();
+        first.add("t1", "A", 1).add("t1", "A", 2).add("t1", "B", 3);
+        let mut second = EventLogBuilder::new();
+        second.add("t1", "A", 4).add("t1", "B", 5).add("t1", "A", 6);
+        second.add("t2", "B", 1).add("t2", "A", 2);
+        let (first, second) = (first.build(), second.build());
+        let reopen: [fn(Arc<MemStore>) -> Result<Indexer>; 2] = [Indexer::open, |store| {
+            Indexer::with_store(store, IndexConfig::new(Policy::SkipTillNextMatch))
+        }];
+        for reopen in reopen {
+            let mut ix = Indexer::new(IndexConfig::new(Policy::SkipTillNextMatch));
+            ix.index_log(&first).unwrap();
+            put_meta(ix.store().as_ref(), "config:method", "State").unwrap();
+            let mut ix = reopen(ix.store()).unwrap();
+            ix.index_log(&second).unwrap();
+            for (a, b) in [("A", "A"), ("A", "B"), ("B", "A"), ("B", "B")] {
+                assert_eq!(postings_of(&ix, a, b), postings_of(&bulk, a, b), "({a},{b})");
+            }
+        }
+    }
+
+    #[test]
     fn open_empty_store_fails() {
         let store = Arc::new(MemStore::new());
         assert!(Indexer::<MemStore>::open(store).is_err());
@@ -795,7 +815,6 @@ mod tests {
         let legacy = |format: Option<&str>| {
             let store = Arc::new(MemStore::new());
             put_meta(store.as_ref(), META_POLICY, Policy::SkipTillNextMatch.name()).unwrap();
-            put_meta(store.as_ref(), META_METHOD, StnmMethod::Indexing.name()).unwrap();
             if let Some(f) = format {
                 put_meta(store.as_ref(), META_POSTING_FORMAT, f).unwrap();
             }

@@ -9,11 +9,12 @@
 //! ## Structure
 //!
 //! * [`policy`] — the two pattern-matching policies (Strict Contiguity and
-//!   Skip-Till-Next-Match) and the three STNM pair-creation flavors
-//!   (*Parsing*, *Indexing*, *State*; paper §4).
-//! * [`pairs`] — the pair-creation algorithms themselves. All STNM flavors
+//!   Skip-Till-Next-Match).
+//! * [`pairs`] — the pair-creation algorithms, including the three STNM
+//!   flavors (*Parsing*, *Indexing*, *State*; paper §4). All STNM flavors
 //!   produce identical pair sets (property-tested); they differ only in cost
-//!   profile, which is precisely what Table 5 / Figure 3 measure.
+//!   profile, which is precisely what Table 5 / Figure 3 measure. The
+//!   indexer builds with *Indexing*.
 //! * [`tables`] — the five tables of §3.1.2 (`Seq`, `Index`, `Count`,
 //!   `ReverseCount`, `LastChecked`) with their binary row codecs over any
 //!   [`seqdet_storage::KvStore`].
@@ -50,10 +51,10 @@ pub use indexer::{
     UpdateStats,
 };
 pub use pairs::{create_pairs, PairKey, TracePairs};
-pub use policy::{Policy, StnmMethod};
+pub use policy::Policy;
 pub use postings::PostingFormat;
 pub use stats::IndexStats;
-pub use zones::{install_zone_extractor, TableZones};
+pub use zones::{expire_runs, install_zone_extractor, Expiry, TableZones};
 
 /// Crate-wide result alias.
 pub type Result<T> = std::result::Result<T, CoreError>;

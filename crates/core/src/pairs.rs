@@ -16,7 +16,9 @@
 //! Three STNM implementations are provided — [`stnm_parsing`],
 //! [`stnm_indexing`], [`stnm_state`] — which produce identical output but
 //! have the distinct cost profiles the paper evaluates in Table 5 /
-//! Figure 3. The *Parsing* and *State* flavors intentionally retain the
+//! Figure 3. The indexer always builds with *Indexing*, the evaluation's
+//! winner; the other two are kept as pure functions for those experiments
+//! and as references the tests hold equal to it ([`STNM_FLAVORS`]). The *Parsing* and *State* flavors intentionally retain the
 //! paper's data-structure choices (linear membership lists, per-event hash
 //! updates): "optimizing" them away would erase the very effect the
 //! benchmarks measure.
@@ -25,7 +27,7 @@
 //! `(4,5)` is an `(A,B)` adjacency in the running trace (and is also listed
 //! under `(A,B)`), so we treat it as a typo and produce `(B,A) = (3,4),(5,6)`.
 
-use crate::policy::{Policy, StnmMethod};
+use crate::policy::Policy;
 use seqdet_log::{Activity, Event, Ts};
 use seqdet_storage::FxHashMap;
 
@@ -36,15 +38,20 @@ pub type PairKey = u64;
 /// occurrences. Occurrences are emitted in ascending `ts_b` order.
 pub type TracePairs = FxHashMap<PairKey, Vec<(Ts, Ts)>>;
 
-/// Dispatch on policy/method.
-pub fn create_pairs(events: &[Event], policy: Policy, method: StnmMethod) -> TracePairs {
+/// A pair-creation function over one trace.
+pub type CreatePairs = fn(&[Event]) -> TracePairs;
+
+/// The three STNM pair-creation flavors of §4.2 by name, in the column
+/// order of the paper's Table 5.
+pub const STNM_FLAVORS: [(&str, CreatePairs); 3] =
+    [("Indexing", stnm_indexing), ("Parsing", stnm_parsing), ("State", stnm_state)];
+
+/// The pairs `policy` defines over one trace: [`sc_pairs`] or
+/// [`stnm_indexing`].
+pub fn create_pairs(events: &[Event], policy: Policy) -> TracePairs {
     match policy {
         Policy::StrictContiguity => sc_pairs(events),
-        Policy::SkipTillNextMatch => match method {
-            StnmMethod::Parsing => stnm_parsing(events),
-            StnmMethod::Indexing => stnm_indexing(events),
-            StnmMethod::State => stnm_state(events),
-        },
+        Policy::SkipTillNextMatch => stnm_indexing(events),
     }
 }
 
@@ -273,8 +280,8 @@ mod tests {
 
     #[test]
     fn stnm_matches_table3_all_methods() {
-        for method in StnmMethod::ALL {
-            let p = create_pairs(&table3_trace(), Policy::SkipTillNextMatch, method);
+        for (method, create) in STNM_FLAVORS {
+            let p = create(&table3_trace());
             assert_eq!(occ(&p, 0, 0), vec![(1, 2), (4, 6)], "{method} (A,A)");
             assert_eq!(occ(&p, 1, 0), vec![(3, 4), (5, 6)], "{method} (B,A)");
             assert_eq!(occ(&p, 1, 1), vec![(3, 5)], "{method} (B,B)");
@@ -284,11 +291,13 @@ mod tests {
 
     #[test]
     fn empty_and_singleton_traces() {
-        for method in StnmMethod::ALL {
-            for policy in [Policy::StrictContiguity, Policy::SkipTillNextMatch] {
-                assert!(create_pairs(&[], policy, method).is_empty());
-                assert!(create_pairs(&[ev(0, 1)], policy, method).is_empty());
-            }
+        for policy in [Policy::StrictContiguity, Policy::SkipTillNextMatch] {
+            assert!(create_pairs(&[], policy).is_empty());
+            assert!(create_pairs(&[ev(0, 1)], policy).is_empty());
+        }
+        for (_, create) in STNM_FLAVORS {
+            assert!(create(&[]).is_empty());
+            assert!(create(&[ev(0, 1)]).is_empty());
         }
     }
 
@@ -306,8 +315,8 @@ mod tests {
     fn stnm_skips_blocked_openers() {
         // A A A B: only (1,4) — the 2nd/3rd A are ignored while open.
         let trace = vec![ev(0, 1), ev(0, 2), ev(0, 3), ev(1, 4)];
-        for method in StnmMethod::ALL {
-            let p = create_pairs(&trace, Policy::SkipTillNextMatch, method);
+        for (method, create) in STNM_FLAVORS {
+            let p = create(&trace);
             assert_eq!(occ(&p, 0, 1), vec![(1, 4)], "{method}");
             assert_eq!(occ(&p, 0, 0), vec![(1, 2)], "{method}");
         }
@@ -319,8 +328,8 @@ mod tests {
         // (A,C) second pair = (4,5); (B,C)=(2,3); (B,A)=(2,4); (C,A)=(3,4);
         // (C,C)=(3,5).
         let trace = vec![ev(0, 1), ev(1, 2), ev(2, 3), ev(0, 4), ev(2, 5)];
-        for method in StnmMethod::ALL {
-            let p = create_pairs(&trace, Policy::SkipTillNextMatch, method);
+        for (method, create) in STNM_FLAVORS {
+            let p = create(&trace);
             assert_eq!(occ(&p, 0, 1), vec![(1, 2)], "{method}");
             assert_eq!(occ(&p, 0, 2), vec![(1, 3), (4, 5)], "{method}");
             assert_eq!(occ(&p, 1, 2), vec![(2, 3)], "{method}");
@@ -399,8 +408,8 @@ mod tests {
         ];
         for trace in traces {
             let expected = sorted(&oracle(&trace));
-            for method in StnmMethod::ALL {
-                let got = sorted(&create_pairs(&trace, Policy::SkipTillNextMatch, method));
+            for (method, create) in STNM_FLAVORS {
+                let got = sorted(&create(&trace));
                 assert_eq!(got, expected, "method {method} diverges on {trace:?}");
             }
         }
@@ -423,8 +432,8 @@ mod tests {
             #[test]
             fn all_stnm_methods_equal_oracle(trace in arb_trace(120, 6)) {
                 let expected = sorted(&oracle(&trace));
-                for method in StnmMethod::ALL {
-                    let got = sorted(&create_pairs(&trace, Policy::SkipTillNextMatch, method));
+                for (method, create) in STNM_FLAVORS {
+                    let got = sorted(&create(&trace));
                     prop_assert_eq!(&got, &expected, "method {}", method);
                 }
             }

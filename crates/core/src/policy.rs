@@ -1,4 +1,4 @@
-//! Pattern-matching policies and pair-creation method selection.
+//! The pattern-matching policies.
 
 /// The two event-sequence detection policies of the paper (§2.1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -37,57 +37,6 @@ impl std::fmt::Display for Policy {
     }
 }
 
-/// The three alternative implementations of STNM pair creation (§4.2).
-///
-/// All three produce identical pair sets; they differ in how they traverse
-/// the trace and therefore in constant factors and scaling with the number
-/// of distinct activities `l` — the subject of Table 5 and Figure 3.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum StnmMethod {
-    /// Compute pairs while scanning the sequence once per distinct activity
-    /// (Algorithm 6). `O(n·l²)` time, `O(n + l²)` space.
-    Parsing,
-    /// First collect the occurrence positions of every distinct activity,
-    /// then merge position lists per activity pair (Algorithm 7 in spirit).
-    /// `O(n·l²)` worst case but with very small constants; the evaluation's
-    /// overall winner.
-    Indexing,
-    /// Maintain a hash-map state keyed by activity pair, updated per event
-    /// (Algorithm 8). `O(n·l)` time but with per-event hash overhead; the
-    /// natural choice for fully dynamic (streaming) settings.
-    State,
-}
-
-impl StnmMethod {
-    /// All methods, for sweeps.
-    pub const ALL: [StnmMethod; 3] = [StnmMethod::Parsing, StnmMethod::Indexing, StnmMethod::State];
-
-    /// Short stable name.
-    pub fn name(self) -> &'static str {
-        match self {
-            StnmMethod::Parsing => "Parsing",
-            StnmMethod::Indexing => "Indexing",
-            StnmMethod::State => "State",
-        }
-    }
-
-    /// Parse the persisted name.
-    pub fn from_name(s: &str) -> Option<Self> {
-        match s {
-            "Parsing" => Some(StnmMethod::Parsing),
-            "Indexing" => Some(StnmMethod::Indexing),
-            "State" => Some(StnmMethod::State),
-            _ => None,
-        }
-    }
-}
-
-impl std::fmt::Display for StnmMethod {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -97,16 +46,11 @@ mod tests {
         for p in [Policy::StrictContiguity, Policy::SkipTillNextMatch] {
             assert_eq!(Policy::from_name(p.name()), Some(p));
         }
-        for m in StnmMethod::ALL {
-            assert_eq!(StnmMethod::from_name(m.name()), Some(m));
-        }
         assert_eq!(Policy::from_name("bogus"), None);
-        assert_eq!(StnmMethod::from_name("bogus"), None);
     }
 
     #[test]
     fn display_matches_name() {
         assert_eq!(Policy::SkipTillNextMatch.to_string(), "STNM");
-        assert_eq!(StnmMethod::Indexing.to_string(), "Indexing");
     }
 }

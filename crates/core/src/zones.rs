@@ -17,11 +17,15 @@
 //! trace and never expired by retention; it is only ever *less* prunable,
 //! never incorrectly skipped.
 
+use crate::catalog::{get_meta, put_meta};
 use crate::decode::decode_postings_v2_into;
+use crate::indexer::{bump_index_generation, META_RETENTION_CUTOFF};
 use crate::tables::{
     decode_events, decode_last_checked, INDEX, INDEX_PARTITION_BASE, LAST_CHECKED, SEQ,
 };
-use seqdet_storage::{DiskStore, RowZones, TableId, ZoneExtractor};
+use crate::Result;
+use seqdet_log::Ts;
+use seqdet_storage::{DiskStore, KvStore, RowZones, TableId, ZoneExtractor};
 use std::sync::Arc;
 
 /// True for the single `Index` table and every per-period partition.
@@ -95,6 +99,49 @@ impl ZoneExtractor for TableZones {
 /// Install a [`TableZones`] extractor on a persistent store.
 pub fn install_zone_extractor(store: &DiskStore) {
     store.set_zone_extractor(Arc::new(TableZones));
+}
+
+/// What one [`expire_runs`] pass did.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Expiry {
+    /// Runs dropped.
+    pub dropped: usize,
+    /// Runs whose newest timestamp lies before this one were expired.
+    pub cutoff: Ts,
+    /// The newest timestamp any run covers; the TTL counts back from it.
+    pub newest: Ts,
+}
+
+/// Retention: drop every run of `store` whose time range ends more than
+/// `ttl` before the newest timestamp any run covers. Event time and wall
+/// time need not agree, so the TTL is measured in event time. `None` when
+/// no run carries time zones.
+///
+/// Dropped runs take postings and `Seq` rows with them but leave the
+/// `Count` and `LastChecked` rows that summarise them, as a partition drop
+/// does, so from then on the auditor checks its bounded invariants. The
+/// marker that tells it so is written and flushed *before* any run goes: a
+/// crash in between leaves a looser audit, never a strict audit of a store
+/// that lost postings. A drop bumps the index generation, so query-side
+/// caches notice it.
+pub fn expire_runs(store: &DiskStore, ttl: Ts) -> Result<Option<Expiry>> {
+    let Some((oldest, newest)) = store.run_time_range() else { return Ok(None) };
+    let cutoff = newest.saturating_sub(ttl);
+    // A run that ends before the cutoff starts before it too.
+    if oldest >= cutoff {
+        return Ok(Some(Expiry { dropped: 0, cutoff, newest }));
+    }
+    let marked = get_meta(store, META_RETENTION_CUTOFF).is_some();
+    put_meta(store, META_RETENTION_CUTOFF, &cutoff.to_string())?;
+    store.flush()?;
+    let dropped = store.drop_expired_runs(cutoff)?;
+    if dropped > 0 {
+        bump_index_generation(store)?;
+    } else if !marked {
+        // Nothing went, so nothing loosens the audit.
+        store.delete(crate::tables::META, META_RETENTION_CUTOFF.as_bytes())?;
+    }
+    Ok(Some(Expiry { dropped, cutoff, newest }))
 }
 
 #[cfg(test)]

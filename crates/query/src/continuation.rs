@@ -103,8 +103,7 @@ fn score_candidates<S: KvStore>(
     let Some(last) = pattern.last() else {
         return Err(QueryError::PatternTooShort { required: 1, actual: 0 });
     };
-    let partials =
-        if pattern.len() >= 2 { Some(detect::join(ctx, pattern, None, None)?) } else { None };
+    let partials = if pattern.len() >= 2 { Some(detect::join(ctx, pattern, None)?) } else { None };
     candidates
         .into_iter()
         .map(|candidate| {

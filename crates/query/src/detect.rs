@@ -233,20 +233,7 @@ pub(crate) fn get_completions<S: KvStore>(
     pattern: &Pattern,
     on_prefix: Option<&mut Vec<DetectResult>>,
 ) -> Result<DetectResult> {
-    get_completions_within(ctx, pattern, None, on_prefix)
-}
-
-/// [`get_completions`] with an optional CEP-style time window: a completion
-/// is valid only if `last.ts - first.ts <= window`. The bound is applied
-/// *during* the join (a partial already wider than the window can never
-/// shrink), so tight windows also prune work, not just results.
-pub(crate) fn get_completions_within<S: KvStore>(
-    ctx: &ReadCtx<'_, S>,
-    pattern: &Pattern,
-    window: Option<Ts>,
-    on_prefix: Option<&mut Vec<DetectResult>>,
-) -> Result<DetectResult> {
-    Ok(join(ctx, pattern, window, on_prefix)?.to_result())
+    Ok(join(ctx, pattern, on_prefix)?.to_result())
 }
 
 /// Partial matches after a join step, flat: row `i` is trace `traces[i]`
@@ -297,7 +284,6 @@ impl FlatPartials {
 pub(crate) fn join<S: KvStore>(
     ctx: &ReadCtx<'_, S>,
     pattern: &Pattern,
-    window: Option<Ts>,
     mut on_prefix: Option<&mut Vec<DetectResult>>,
 ) -> Result<FlatPartials> {
     debug_assert!(pattern.len() >= 2, "the join requires a pattern of length >= 2");
@@ -307,17 +293,16 @@ pub(crate) fn join<S: KvStore>(
         .collect::<Result<_>>()?;
     let mut partials = FlatPartials::new(2);
     let Some((first, rest)) = lists.split_first() else { return Ok(partials) };
-    let in_window = |start: Ts, end: Ts| window.is_none_or(|w| end - start <= w);
 
     // `previous ← Index.get(ev_1, ev_2)`, restricted to the common traces.
     if on_prefix.is_some() || rest.is_empty() {
-        for (trace, a, b) in first.iter().filter(|&(_, a, b)| in_window(a, b)) {
+        for (trace, a, b) in first.iter() {
             partials.push(trace, &[a], b);
         }
     } else {
         let mut cursor = first.cursor();
         for trace in common_traces(&lists) {
-            for &(a, b) in cursor.seek(trace).iter().filter(|&&(a, b)| in_window(a, b)) {
+            for &(a, b) in cursor.seek(trace) {
                 partials.push(trace, &[a], b);
             }
         }
@@ -329,11 +314,7 @@ pub(crate) fn join<S: KvStore>(
     let mut next = FlatPartials::new(3);
     for list in rest {
         next.reset(partials.width + 1);
-        for_each_extension(&partials, list, |trace, row, ts_b| {
-            if row.first().is_some_and(|&start| in_window(start, ts_b)) {
-                next.push(trace, row, ts_b);
-            }
-        });
+        for_each_extension(&partials, list, |trace, row, ts_b| next.push(trace, row, ts_b));
         std::mem::swap(&mut partials, &mut next);
         if let Some(prefixes) = on_prefix.as_deref_mut() {
             prefixes.push(partials.to_result());
@@ -513,7 +494,6 @@ mod tests {
     fn nested_loop_completions<S: KvStore>(
         ctx: &ReadCtx<'_, S>,
         pattern: &Pattern,
-        window: Option<Ts>,
         mut on_prefix: Option<&mut Vec<DetectResult>>,
     ) -> Result<DetectResult> {
         fn collect(partials: &[(TraceId, Vec<Ts>)]) -> DetectResult {
@@ -528,11 +508,8 @@ mod tests {
             .consecutive_pairs()
             .map(|(a, b)| ctx.postings(Activity::pair_key(a, b)))
             .collect::<Result<_>>()?;
-        let mut partials: Vec<(TraceId, Vec<Ts>)> = lists[0]
-            .iter()
-            .filter(|&(_, a, b)| window.is_none_or(|w| b - a <= w))
-            .map(|(trace, a, b)| (trace, vec![a, b]))
-            .collect();
+        let mut partials: Vec<(TraceId, Vec<Ts>)> =
+            lists[0].iter().map(|(trace, a, b)| (trace, vec![a, b])).collect();
         if let Some(prefixes) = on_prefix.as_deref_mut() {
             prefixes.push(collect(&partials));
         }
@@ -541,7 +518,7 @@ mod tests {
             for (trace, part) in &partials {
                 let last = *part.last().unwrap();
                 for (t, a, b) in next.iter() {
-                    if t == *trace && a == last && window.is_none_or(|w| b - part[0] <= w) {
+                    if t == *trace && a == last {
                         let mut next_part = part.clone();
                         next_part.push(b);
                         extended.push((t, next_part));
@@ -637,19 +614,16 @@ mod tests {
                         let all = ctx.traces_with_all(pattern.consecutive_pairs()).unwrap();
                         prop_assert_eq!(all, common.unwrap().into_iter().collect::<Vec<_>>(), "{}", at);
 
-                        for window in [None, Some(3), Some(1000)] {
-                            let expected = nested_loop_completions(&ctx, &pattern, window, None).unwrap();
-                            let got = get_completions_within(&ctx, &pattern, window, None).unwrap();
-                            prop_assert_eq!(&got, &expected, "{} window {:?}", at, window);
+                        let expected = nested_loop_completions(&ctx, &pattern, None).unwrap();
+                        let got = get_completions(&ctx, &pattern, None).unwrap();
+                        prop_assert_eq!(&got, &expected, "{}", at);
 
-                            let (mut want, mut prefixes) = (Vec::new(), Vec::new());
-                            nested_loop_completions(&ctx, &pattern, window, Some(&mut want)).unwrap();
-                            let got =
-                                get_completions_within(&ctx, &pattern, window, Some(&mut prefixes)).unwrap();
-                            prop_assert_eq!(&got, &expected, "{} window {:?}", at, window);
-                            prop_assert_eq!(&prefixes, &want, "{} window {:?}", at, window);
-                            prop_assert_eq!(prefixes.len(), pattern.len() - 1);
-                        }
+                        let (mut want, mut prefixes) = (Vec::new(), Vec::new());
+                        nested_loop_completions(&ctx, &pattern, Some(&mut want)).unwrap();
+                        let got = get_completions(&ctx, &pattern, Some(&mut prefixes)).unwrap();
+                        prop_assert_eq!(&got, &expected, "{}", at);
+                        prop_assert_eq!(&prefixes, &want, "{}", at);
+                        prop_assert_eq!(prefixes.len(), pattern.len() - 1);
                     }
                 }
             }

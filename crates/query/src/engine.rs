@@ -182,27 +182,6 @@ impl<S: KvStore> QueryEngine<S> {
         Ok(result)
     }
 
-    /// Pattern detection with a CEP-style time window: only completions
-    /// whose total span (`last.ts - first.ts`) does not exceed `window`
-    /// are returned; the bound prunes partial matches during the join.
-    /// Requires a pattern of length ≥ 2.
-    pub fn detect_within(&self, pattern: &Pattern, window: seqdet_log::Ts) -> Result<DetectResult> {
-        if pattern.len() < 2 {
-            return Err(QueryError::PatternTooShort { required: 2, actual: pattern.len() });
-        }
-        let (mut result, coverage) = self.stamped(|| {
-            let (generation, tables) = self.snapshot();
-            detect::get_completions_within(
-                &self.ctx(generation, &tables),
-                pattern,
-                Some(window),
-                None,
-            )
-        })?;
-        result.coverage = coverage;
-        Ok(result)
-    }
-
     /// Pattern detection that also returns every prefix's completions
     /// (`⟨ev1,ev2⟩`, `⟨ev1,ev2,ev3⟩`, …) — the incremental by-product the
     /// paper contrasts against restart-from-scratch engines. Entry `i`
@@ -267,11 +246,16 @@ impl<S: KvStore> QueryEngine<S> {
         continuation::accurate_at(&self.ctx(generation, &tables), pattern, pos)
     }
 
+    /// The policy the store's pairs were created under.
+    pub fn policy(&self) -> Policy {
+        index_policy(self.store.as_ref())
+    }
+
     /// Rich patterns assume skip-till semantics (anchors may be separated
     /// by irrelevant events); an SC store's adjacent-only pairs would miss
     /// candidates, so reject up front with a clear error.
     fn check_rich_supported(&self) -> Result<()> {
-        if index_policy(self.store.as_ref()) == Policy::StrictContiguity {
+        if self.policy() == Policy::StrictContiguity {
             return Err(QueryError::InvalidPattern(
                 "rich patterns (Kleene/negation/predicates/window) need an STNM index; \
                  this store was indexed under SC"
@@ -430,6 +414,14 @@ mod tests {
         assert_eq!(at.iter().find(|pr| pr.activity == a).unwrap().completions, 0);
     }
 
+    /// The `Detection` answer of a `DETECT` statement.
+    fn detection(e: &QueryEngine<seqdet_storage::MemStore>, statement: &str) -> DetectResult {
+        match crate::lang::run(e, statement).unwrap() {
+            crate::QueryOutput::Detection(r) => r,
+            other => panic!("unexpected {other:?}"),
+        }
+    }
+
     #[test]
     fn windowed_detection_filters_wide_matches() {
         let mut b = EventLogBuilder::new();
@@ -440,19 +432,21 @@ mod tests {
         let e = QueryEngine::new(ix.store()).unwrap();
         let p = e.pattern(&["A", "B"]).unwrap();
         assert_eq!(e.detect(&p).unwrap().total_completions(), 2);
-        let r = e.detect_within(&p, 10).unwrap();
+        let r = detection(&e, "DETECT A -> B WITHIN 10");
         assert_eq!(r.total_completions(), 1);
         assert_eq!(r.matches[0].timestamps, vec![1, 3]);
-        // Window large enough admits everything; length-1 is rejected.
-        assert_eq!(e.detect_within(&p, 1000).unwrap().total_completions(), 2);
+        // A window large enough admits everything. A one-event match spans
+        // 0, so a length-1 pattern under a window returns every
+        // occurrence, as plain detection does.
+        assert_eq!(detection(&e, "DETECT A -> B WITHIN 1000").total_completions(), 2);
         let single = e.pattern(&["A"]).unwrap();
-        assert!(matches!(e.detect_within(&single, 10), Err(QueryError::PatternTooShort { .. })));
+        assert_eq!(detection(&e, "DETECT A WITHIN 10"), e.detect(&single).unwrap());
     }
 
     #[test]
-    fn windowed_detection_prunes_mid_join() {
+    fn windowed_detection_bounds_the_whole_span() {
         // ⟨A,B,C⟩ where A→B is fast but B→C pushes the span over the
-        // window: the partial must be dropped at the second join step.
+        // window.
         let mut b = EventLogBuilder::new();
         b.add("t", "A", 1).add("t", "B", 2).add("t", "C", 50);
         let mut ix = Indexer::new(IndexConfig::new(Policy::SkipTillNextMatch));
@@ -460,8 +454,9 @@ mod tests {
         let e = QueryEngine::new(ix.store()).unwrap();
         let p = e.pattern(&["A", "B", "C"]).unwrap();
         assert_eq!(e.detect(&p).unwrap().total_completions(), 1);
-        assert_eq!(e.detect_within(&p, 10).unwrap().total_completions(), 0);
-        assert_eq!(e.detect_within(&p, 49).unwrap().total_completions(), 1);
+        assert_eq!(detection(&e, "DETECT A B C WITHIN 10").total_completions(), 0);
+        assert_eq!(detection(&e, "DETECT A B C WITHIN 48").total_completions(), 0);
+        assert_eq!(detection(&e, "DETECT A B C WITHIN 49").matches[0].timestamps, vec![1, 2, 50]);
     }
 
     #[test]

@@ -35,16 +35,20 @@
 //! ends an adjacency-separated pattern; quote it (or put it first, or after
 //! an explicit `->`) to use it as an activity name.
 //!
-//! Plain `DETECT` patterns execute on the classic pairwise-join path,
-//! bit-for-bit identical to previous releases (including the greedy
-//! `WITHIN` join semantics — see DESIGN.md on where that differs from the
-//! rich matcher). Any rich operator routes the query through
-//! [`QueryEngine::detect_rich`] / [`QueryEngine::detect_rich_any`], as does
-//! `ANY MATCH WITHIN …`, which the classic path never supported.
+//! Plain `DETECT` patterns without `WITHIN` execute on the classic
+//! pairwise-join path. Any rich operator, and any `WITHIN` on an STNM
+//! index, routes the query through [`QueryEngine::detect_rich`] /
+//! [`QueryEngine::detect_rich_any`], so every windowed answer has one
+//! semantics: the greedy non-overlapping matches of `seqdet_log::richpat`
+//! whose span fits the window, equal to the scan oracle. A one-element
+//! pattern under `WITHIN` returns every occurrence, like plain `DETECT a`.
+//! On an SC index a plain windowed `DETECT` keeps the join's contiguous
+//! occurrences whose span fits; rich patterns there are refused.
 
 use crate::continuation::ContinuationMethod;
 use crate::engine::QueryEngine;
 use crate::{Proposition, QueryError, Result};
+use seqdet_core::Policy;
 use seqdet_log::{CmpOp, LogError, PatternElem, PredKey, Predicate, RichPattern, Ts};
 use seqdet_storage::KvStore;
 use std::fmt;
@@ -571,21 +575,26 @@ pub fn execute<S: KvStore>(engine: &QueryEngine<S>, query: &Query) -> Result<Que
     match query {
         Query::Detect { elements, within, any_match, limit } => {
             let plain = elements.iter().all(ElemSpec::is_plain);
-            // Plain patterns keep the classic pairwise-join path (same
-            // results and latency as before the rich operators existed) —
-            // except ANY MATCH + WITHIN, which that path never supported
-            // and the rich matcher defines.
-            if plain && !(*any_match && within.is_some()) {
+            // Plain patterns without a window run on the pairwise join. A
+            // window under STNM needs the per-trace evaluator: the greedy
+            // pair chains of the index are not the windowed matches. Under
+            // SC the join's contiguous occurrences are every match there
+            // is, so there a window only drops the wide ones.
+            let on_join = match within {
+                None => true,
+                Some(_) => !*any_match && engine.policy() == Policy::StrictContiguity,
+            };
+            if plain && on_join {
                 let pattern: Vec<&str> = elements.iter().map(|e| e.name.as_str()).collect();
                 let p = engine.pattern(&pattern)?;
                 if *any_match {
                     let r = engine.detect_any_match(&p, limit.unwrap_or(3))?;
                     Ok(QueryOutput::AnyMatch(r))
                 } else {
-                    let mut r = match within {
-                        Some(w) => engine.detect_within(&p, *w)?,
-                        None => engine.detect(&p)?,
-                    };
+                    let mut r = engine.detect(&p)?;
+                    if let Some(w) = within {
+                        r.matches.retain(|m| m.duration() <= *w);
+                    }
                     if let Some(l) = limit {
                         r.matches.truncate(*l);
                     }
@@ -638,7 +647,7 @@ pub fn run<S: KvStore>(engine: &QueryEngine<S>, input: &str) -> Result<QueryOutp
 #[cfg(test)]
 mod tests {
     use super::*;
-    use seqdet_core::{IndexConfig, Indexer, Policy};
+    use seqdet_core::{IndexConfig, Indexer};
     use seqdet_log::EventLogBuilder;
 
     #[test]
@@ -833,6 +842,28 @@ mod tests {
             QueryOutput::AnyMatch(r) => assert_eq!(r.total(), 1),
             other => panic!("unexpected {other:?}"),
         }
+    }
+
+    #[test]
+    fn sc_window_keeps_the_contiguous_matches_that_fit() {
+        let mut b = EventLogBuilder::new();
+        b.add("t1", "A", 1).add("t1", "B", 2).add("t1", "A", 3).add("t1", "B", 9);
+        let mut ix = Indexer::new(IndexConfig::new(Policy::StrictContiguity));
+        ix.index_log(&b.build()).unwrap();
+        let e = QueryEngine::new(ix.store()).unwrap();
+        match run(&e, "DETECT A -> B WITHIN 2").unwrap() {
+            QueryOutput::Detection(r) => {
+                assert_eq!(r.total_completions(), 1);
+                assert_eq!(r.matches[0].timestamps, vec![1, 2]);
+            }
+            other => panic!("unexpected {other:?}"),
+        }
+        // Skip-till operators have no SC answer, windowed or not.
+        assert!(matches!(
+            run(&e, "DETECT A B ANY MATCH WITHIN 2"),
+            Err(QueryError::InvalidPattern(_))
+        ));
+        assert!(matches!(run(&e, "DETECT A !A B WITHIN 2"), Err(QueryError::InvalidPattern(_))));
     }
 
     #[test]

@@ -4,8 +4,10 @@
 //! The classic pairwise join ([`crate::detect`]) answers plain sequences
 //! directly from posting lists. Rich patterns (`A B+ !C D WITHIN 2h`,
 //! `A[amount > 100]`) cannot be answered by the pairs alone — negation and
-//! predicates are not visible to them — so this module *compiles* a
-//! [`RichPattern`] onto the existing primitives in two stages:
+//! predicates are not visible to them, and a window can need a later start
+//! than the greedy pair the index stored, so plain windowed sequences run
+//! here too — so this module *compiles* a [`RichPattern`] onto the
+//! existing primitives in two stages:
 //!
 //! 1. **Candidate generation.** The pattern's *skeleton* (its positive
 //!    activities, in order) must appear as a subsequence in any matching

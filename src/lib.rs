@@ -44,7 +44,7 @@ pub use seqdet_storage as storage;
 
 /// One-stop imports for typical use.
 pub mod prelude {
-    pub use seqdet_core::{IndexConfig, Indexer, Policy, StnmMethod};
+    pub use seqdet_core::{IndexConfig, Indexer, Policy};
     pub use seqdet_log::{
         Activity, ActivityInterner, Event, EventLog, EventLogBuilder, Pattern, Trace, TraceBuilder,
         TraceId, Ts,

@@ -219,4 +219,16 @@ fn known_pairwise_join_blind_spot_is_documented() {
     assert_eq!(ours.detect(&p).expect("detect runs").total_completions(), 0);
     // The STAM extension does find it.
     assert_eq!(ours.detect_any_match(&p, 1).expect("detect runs").total(), 1);
+    // So does any `WITHIN`, which checks each candidate trace itself: for
+    // plain patterns of length ≥ 3 a window wide enough to bound nothing
+    // can return more matches than no window.
+    match seqdet_query::lang::run(&ours, "DETECT a0 -> a1 -> a2 WITHIN 1000").expect("query runs") {
+        seqdet_query::QueryOutput::Detection(r) => {
+            assert_eq!(
+                r.matches.iter().map(|m| m.timestamps.clone()).collect::<Vec<_>>(),
+                [[2, 3, 4]]
+            );
+        }
+        other => panic!("unexpected output {other:?}"),
+    }
 }

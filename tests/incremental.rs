@@ -1,12 +1,13 @@
 //! Incremental-update equivalence: splitting a log into arbitrary batches
 //! must produce exactly the same index as bulk loading (Algorithm 1's
-//! correctness claim), for every policy and STNM flavor.
+//! correctness claim), for both policies and with partitioning.
 
 use proptest::prelude::*;
 use seqdet::prelude::*;
 use seqdet_core::indexer::active_index_tables;
+use seqdet_core::pairs::{create_pairs, TracePairs, STNM_FLAVORS};
 use seqdet_core::tables::{read_postings, Posting};
-use seqdet_log::{EventLog, EventLogBuilder};
+use seqdet_log::{Activity, Event, EventLog, EventLogBuilder};
 use seqdet_storage::MemStore;
 
 /// Collect the full index contents (every pair's postings, sorted).
@@ -98,7 +99,7 @@ fn check_equivalence(traces: &[Vec<u32>], num_batches: usize, cfg: IndexConfig) 
 /// regressions` enforces this file-by-file). Both saved cases shrank to
 /// the same input (a single one-event trace split across more batches
 /// than it has events, i.e. some batches are empty); run it through every
-/// policy/method variant the properties cover.
+/// configuration the properties cover.
 ///
 /// replays cc 86ce490335483844e79d65577d689f62fd11755b99642b05a3aaf2ce1873d188
 /// replays cc 61905dd205e7994732864edc9c286828a376e0e480a6a9fb890d512232abfbd2
@@ -108,13 +109,6 @@ fn regression_single_event_trace_over_three_batches() {
     let num_batches = 3usize;
     check_equivalence(&traces, num_batches, IndexConfig::new(Policy::SkipTillNextMatch));
     check_equivalence(&traces, num_batches, IndexConfig::new(Policy::StrictContiguity));
-    for method in StnmMethod::ALL {
-        check_equivalence(
-            &traces,
-            num_batches,
-            IndexConfig::new(Policy::SkipTillNextMatch).with_method(method),
-        );
-    }
     check_equivalence(
         &traces,
         num_batches,
@@ -141,17 +135,29 @@ proptest! {
         check_equivalence(&traces, num_batches, IndexConfig::new(Policy::StrictContiguity));
     }
 
+    /// The indexer builds with one STNM flavor; every flavor yields the
+    /// same pairs on each trace, so batched = bulk holds for all of them.
     #[test]
     fn batched_equals_bulk_all_stnm_methods(
         traces in prop::collection::vec(prop::collection::vec(0u32..3, 1..20), 1..6),
         num_batches in 2usize..4,
     ) {
-        for method in StnmMethod::ALL {
-            check_equivalence(
-                &traces,
-                num_batches,
-                IndexConfig::new(Policy::SkipTillNextMatch).with_method(method),
-            );
+        check_equivalence(&traces, num_batches, IndexConfig::new(Policy::SkipTillNextMatch));
+        for acts in &traces {
+            let events: Vec<Event> = acts
+                .iter()
+                .enumerate()
+                .map(|(i, &a)| Event::new(Activity(a), i as u64 + 1))
+                .collect();
+            let sorted = |p: TracePairs| {
+                let mut v: Vec<_> = p.into_iter().collect();
+                v.sort();
+                v
+            };
+            let built = sorted(create_pairs(&events, Policy::SkipTillNextMatch));
+            for (flavor, create) in STNM_FLAVORS {
+                prop_assert_eq!(&sorted(create(&events)), &built, "flavor {}", flavor);
+            }
         }
     }
 

@@ -13,8 +13,11 @@
 //! The vendored proptest has no regression persistence, so every
 //! counterexample class the generators have caught is additionally pinned
 //! as a deterministic test at the bottom (backtracking, WITHIN × negation,
-//! Kleene absorption interplay, and the documented divergence between the
-//! legacy greedy `WITHIN` join and the rich matcher).
+//! Kleene absorption interplay, and a plain `WITHIN` statement that has to
+//! skip past a greedy pair too wide for its window).
+//!
+//! Plain `DETECT … WITHIN` statements run on the same evaluator, so the
+//! query-language path is held to the oracle as well.
 
 use proptest::prelude::*;
 use seqdet::prelude::*;
@@ -171,6 +174,37 @@ proptest! {
             result.traces.iter().map(|m| (m.trace, m.count, m.examples.clone())).collect();
         prop_assert_eq!(got, expected, "limit {}", limit);
     }
+
+    #[test]
+    fn plain_within_statement_agrees_with_sase_oracle(
+        traces in arb_traces(),
+        acts in prop::collection::vec(0u32..5, 2..=4),
+        within in 0u64..16,
+    ) {
+        let log = build_log(&traces);
+        let names: Vec<String> = acts.iter().map(|a| format!("a{a}")).collect();
+        let Some(ids) = names.iter().map(|n| log.activity(n)).collect::<Option<Vec<_>>>() else {
+            return Ok(());
+        };
+        let oracle_pat = RichPattern::from_activities(&ids).expect("plain pattern");
+        let mut expected: Vec<(TraceId, Vec<Ts>)> = SaseEngine::new(&log)
+            .detect_rich(&oracle_pat, Some(within))
+            .into_iter()
+            .map(|m| (m.trace, m.timestamps))
+            .collect();
+        expected.sort();
+
+        let engine = stnm_engine(&log);
+        let statement = format!("DETECT {} WITHIN {within}", names.join(" -> "));
+        let got = match seqdet_query::lang::run(&engine, &statement).expect("query runs") {
+            seqdet_query::QueryOutput::Detection(r) => r,
+            other => panic!("unexpected output {other:?}"),
+        };
+        let mut got: Vec<(TraceId, Vec<Ts>)> =
+            got.matches.iter().map(|m| (m.trace, m.timestamps.clone())).collect();
+        got.sort();
+        prop_assert_eq!(got, expected, "{}", statement);
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -248,21 +282,24 @@ fn kleene_absorption_shifts_negation_zone() {
     assert_eq!(r.matches[0].timestamps, vec![1, 4, 5]);
 }
 
-/// The legacy pairwise `WITHIN` join is greedy-restart (Algorithm 2 with a
-/// window bolted on); the rich matcher backtracks. Trace A@1 A@2 B@4 with
-/// window 2 is the documented divergence: the greedy pair (A@1, B@4) blows
-/// the window and the legacy join moves on, while the rich matcher
-/// re-anchors at A@2. Plain `DETECT … WITHIN` keeps the legacy semantics
-/// (see DESIGN.md); this pin makes the difference visible.
+/// A window is not a filter on the index's greedy pairs. In A@1 A@2 B@4
+/// with window 2 the greedy pair (A@1, B@4) is too wide, and the match
+/// that fits starts at the later A: plain `DETECT … WITHIN` finds (2,4),
+/// as the rich matcher does.
 #[test]
-fn legacy_within_join_diverges_from_rich_matcher() {
+fn plain_within_takes_the_later_start() {
     let e = engine_of(&[("A", 1), ("A", 2), ("B", 4)]);
     let p = e.pattern(&["A", "B"]).expect("activities exist");
-    let legacy = e.detect_within(&p, 2).expect("detect runs");
-    assert_eq!(legacy.total_completions(), 0);
+    assert_eq!(e.detect(&p).expect("detect runs").matches[0].timestamps, vec![1, 4]);
+    match seqdet_query::lang::run(&e, "DETECT A -> B WITHIN 2").expect("query runs") {
+        seqdet_query::QueryOutput::Detection(r) => {
+            assert_eq!(r.total_completions(), 1);
+            assert_eq!(r.matches[0].timestamps, vec![2, 4]);
+        }
+        other => panic!("unexpected output {other:?}"),
+    }
     let rich = rich_of(&e, &[("A", false, false), ("B", false, false)]);
     let r = e.detect_rich(&rich, Some(2)).expect("detect runs");
-    assert_eq!(r.total_completions(), 1);
     assert_eq!(r.matches[0].timestamps, vec![2, 4]);
 }
 

@@ -136,7 +136,7 @@ fn legacy_posting_format_is_refused_at_open() {
         let dir = tmp_dir(name);
         let store = Arc::new(DiskStore::open(&dir).expect("dir writable"));
         put_meta(store.as_ref(), "config:policy", Policy::SkipTillNextMatch.name()).expect("put");
-        put_meta(store.as_ref(), "config:method", StnmMethod::Indexing.name()).expect("put");
+        put_meta(store.as_ref(), "config:method", "Indexing").expect("put");
         if let Some(tag) = tag {
             put_meta(store.as_ref(), "config:posting_format", tag).expect("put");
         }

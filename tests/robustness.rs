@@ -4,7 +4,7 @@ use proptest::prelude::*;
 use seqdet::prelude::*;
 use seqdet_baselines::SaseEngine;
 use seqdet_core::tables::{pair_key_bytes, INDEX};
-use seqdet_log::{EventLog, Pattern};
+use seqdet_log::{EventLog, Pattern, RichPattern};
 use seqdet_query::{QueryEngine, QueryError};
 use seqdet_storage::{KvStore, MemStore};
 
@@ -67,22 +67,66 @@ fn query_language_end_to_end_over_the_facade() {
     }
 }
 
+/// `DETECT … WITHIN window` over the query language, as sorted `(trace,
+/// timestamps)` rows.
+fn windowed(
+    engine: &QueryEngine<MemStore>,
+    names: &[&str],
+    window: u64,
+) -> Vec<(TraceId, Vec<Ts>)> {
+    let statement = format!("DETECT {} WITHIN {window}", names.join(" -> "));
+    match seqdet_query::lang::run(engine, &statement).expect("query runs") {
+        seqdet_query::QueryOutput::Detection(r) => {
+            let mut rows: Vec<_> = r.matches.into_iter().map(|m| (m.trace, m.timestamps)).collect();
+            rows.sort();
+            rows
+        }
+        other => panic!("unexpected output {other:?}"),
+    }
+}
+
+/// The scan oracle's windowed matches of `p`, as sorted rows.
+fn oracle_windowed(log: &EventLog, p: &Pattern, window: u64) -> Vec<(TraceId, Vec<Ts>)> {
+    let rich = RichPattern::from_activities(p.activities()).expect("plain pattern");
+    let mut rows: Vec<_> = SaseEngine::new(log)
+        .detect_rich(&rich, Some(window))
+        .into_iter()
+        .map(|m| (m.trace, m.timestamps))
+        .collect();
+    rows.sort();
+    rows
+}
+
+/// Each row is a real embedding of `p` in `log` whose span fits `window`.
+fn assert_windowed_embeddings(
+    log: &EventLog,
+    p: &Pattern,
+    window: u64,
+    rows: &[(TraceId, Vec<Ts>)],
+) {
+    for (trace, stamps) in rows {
+        assert!(stamps.last().expect("non-empty") - stamps.first().expect("non-empty") <= window);
+        let trace = log.trace(*trace).expect("trace exists");
+        for (i, &ts) in stamps.iter().enumerate() {
+            let ev = trace.events().iter().find(|e| e.ts == ts).expect("event exists");
+            assert_eq!(ev.activity, p.activities()[i]);
+        }
+    }
+}
+
 #[test]
-fn windowed_index_vs_windowed_automaton_divergence_is_pinned() {
+fn window_restarts_past_a_stale_greedy_pair() {
     // Trace a0@1 … a1@9 with a second a0@8, window 3: the greedy pair in
-    // the index is (1,9) — too wide — while a windowed automaton restarts
-    // its stale run and finds (8,9). `detect_within` filters the *indexed
-    // greedy pairs* (the paper's Algorithm-2 results) by span; it does not
-    // re-derive tighter pairings. This pins that documented semantics.
+    // the index is (1,9), too wide, and the match that fits starts at the
+    // later a0. A window is applied to the trace, not to the index's
+    // greedy pairs, so `WITHIN 3` finds (8,9), as the scan oracle does.
     let log = build_log(&[vec![0, 2, 2, 2, 2, 2, 2, 0, 1]]);
     let p = Pattern::from_log(&log, &["a0", "a1"]).expect("known");
     let (_ix, engine) = engine_for(&log);
-    assert_eq!(engine.detect(&p).expect("runs").total_completions(), 1); // the (1,9) pair
-    assert_eq!(engine.detect_within(&p, 3).expect("runs").total_completions(), 0);
-    let sase = SaseEngine::new(&log);
-    let m = sase.detect_stnm_within(&p, 3);
-    assert_eq!(m.len(), 1);
-    assert_eq!(m[0].timestamps, vec![8, 9]);
+    assert_eq!(engine.detect(&p).expect("runs").matches[0].timestamps, vec![1, 9]);
+    let ours = windowed(&engine, &["a0", "a1"], 3);
+    assert_eq!(ours.iter().map(|(_, ts)| ts.clone()).collect::<Vec<_>>(), vec![vec![8, 9]]);
+    assert_eq!(ours, oracle_windowed(&log, &p, 3));
 }
 
 /// Pinned replay of the committed regression case — the vendored proptest
@@ -96,38 +140,22 @@ fn windowed_index_vs_windowed_automaton_divergence_is_pinned() {
 #[test]
 fn regression_window_one_with_distant_and_adjacent_completions() {
     let traces: Vec<Vec<u32>> = vec![vec![3, 0, 0, 0, 0, 0, 0, 3, 2]];
-    let pat = [3u32, 2];
     let window = 1u64;
 
     let log = build_log(&traces);
-    let names: Vec<String> = pat.iter().map(|a| format!("a{a}")).collect();
-    let refs: Vec<&str> = names.iter().map(String::as_str).collect();
-    let p = Pattern::from_log(&log, &refs).expect("both activities occur");
+    let p = Pattern::from_log(&log, &["a3", "a2"]).expect("both activities occur");
     let (_ix, engine) = engine_for(&log);
 
-    // Soundness: every windowed match is a real embedding within the span.
-    let ours = engine.detect_within(&p, window).expect("detect runs");
-    for m in &ours.matches {
-        assert!(m.duration() <= window);
-        let trace = log.trace(m.trace).expect("trace exists");
-        for (i, &ts) in m.timestamps.iter().enumerate() {
-            let ev = trace.events().iter().find(|e| e.ts == ts).expect("event exists");
-            assert_eq!(ev.activity, p.activities()[i]);
-        }
-    }
-    // Exactness: windowed results = unwindowed results whose span fits.
-    let all = engine.detect(&p).expect("detect runs");
-    let expected: Vec<_> = all.matches.iter().filter(|m| m.duration() <= window).cloned().collect();
-    assert_eq!(ours.matches, expected);
+    let ours = windowed(&engine, &["a3", "a2"], window);
+    assert_windowed_embeddings(&log, &p, window, &ours);
+    assert_eq!(ours, oracle_windowed(&log, &p, window));
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Every windowed completion we report is also found by the windowed
-    /// SASE automaton *or* corresponds to a greedy pair chain the automaton
-    /// visited — concretely: each of our matches is a real embedding whose
-    /// span fits the window (soundness of `detect_within`).
+    /// Every windowed completion a `DETECT … WITHIN` statement reports is a
+    /// real embedding whose span fits the window.
     #[test]
     fn windowed_detection_is_sound(
         traces in prop::collection::vec(prop::collection::vec(0u32..4, 1..30), 1..10),
@@ -139,18 +167,11 @@ proptest! {
         let refs: Vec<&str> = names.iter().map(String::as_str).collect();
         let Some(p) = Pattern::from_log(&log, &refs) else { return Ok(()) };
         let (_ix, engine) = engine_for(&log);
-        let ours = engine.detect_within(&p, window).expect("detect runs");
-        for m in &ours.matches {
-            prop_assert!(m.duration() <= window);
-            let trace = log.trace(m.trace).expect("trace exists");
-            for (i, &ts) in m.timestamps.iter().enumerate() {
-                let ev = trace.events().iter().find(|e| e.ts == ts).expect("event exists");
-                prop_assert_eq!(ev.activity, p.activities()[i]);
-            }
-        }
+        assert_windowed_embeddings(&log, &p, window, &windowed(&engine, &refs, window));
     }
 
-    /// Windowed results are exactly the unwindowed results whose span fits.
+    /// Windowed results are exactly the scan oracle's: the greedy
+    /// non-overlapping matches whose span fits the window.
     #[test]
     fn window_filters_exactly_by_span(
         traces in prop::collection::vec(prop::collection::vec(0u32..4, 1..25), 1..8),
@@ -162,11 +183,7 @@ proptest! {
         let refs: Vec<&str> = names.iter().map(String::as_str).collect();
         let Some(p) = Pattern::from_log(&log, &refs) else { return Ok(()) };
         let (_ix, engine) = engine_for(&log);
-        let all = engine.detect(&p).expect("detect runs");
-        let windowed = engine.detect_within(&p, window).expect("detect runs");
-        let expected: Vec<_> =
-            all.matches.iter().filter(|m| m.duration() <= window).cloned().collect();
-        prop_assert_eq!(windowed.matches, expected);
+        prop_assert_eq!(windowed(&engine, &refs, window), oracle_windowed(&log, &p, window));
     }
 
     /// Retiring partitions never invents postings: queries over the
